@@ -231,17 +231,17 @@ def check_conjecture(
 
     if not boundary.facets:
         return ConjectureReport(
-            instance=instance, n=n, d=d, m=smallest_or_none(ball), e=None, f=f, h=h,
+            instance=instance, n=n, d=d, m=cxmod.smallest_nonface_size(ball), e=None, f=f, h=h,
             boundary_h=None, L=None, U=None, L_betti=None, U_betti=None,
             A1=None, A2=None, m_in_range=None, all_vertices_on_boundary=None,
             shelling_pass=cert.shelling.ok, ball_pass=cert.ok, betti_table=None,
             verdict="INAPPLICABLE", reasons=reasons + ["no boundary"], certificate=cert,
         )
 
-    e = cxmod.multiplicity(boundary)
-    bf = cxmod.f_vector(boundary)
-    bh = cxmod.h_vector(bf, d - 1)
-    assert sum(bh) == e, "boundary h-vector sum disagrees with boundary facet count"
+    e = len(boundary.facets)
+    bh = cxmod.h_vector(cxmod.f_vector(boundary), d - 1)
+    if sum(bh) != e:
+        raise ArithmeticError(f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}")
 
     on_boundary = boundary.used_mask == ball.used_mask
     if not on_boundary:
@@ -285,9 +285,3 @@ def check_conjecture(
         verdict=verdict, reasons=reasons, certificate=cert,
     )
 
-
-def smallest_or_none(cx: SimplicialComplex) -> int | None:
-    try:
-        return cxmod.smallest_nonface_size(cx)
-    except ValueError:
-        return None

@@ -72,12 +72,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rat(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return x
-
-
 def _build_instance(kind: str, kv: dict[str, str], max_facets: int):
     """Returns (complex, shelling order, instance name)."""
     if kind == "minor":
@@ -132,8 +126,8 @@ def _report_text(rep) -> str:
         f"n={rep.n} d={rep.d} m={rep.m} e={rep.e}",
         f"h: {list(rep.h)}",
         f"boundary h: {list(rep.boundary_h) if rep.boundary_h is not None else None}",
-        f"closed-form bounds: L={_rat(rep.L)} U={_rat(rep.U)}",
-        f"betti bounds: L={_rat(rep.L_betti)} U={_rat(rep.U_betti)}",
+        f"closed-form bounds: L={bnd._rat(rep.L)} U={bnd._rat(rep.U)}",
+        f"betti bounds: L={bnd._rat(rep.L_betti)} U={bnd._rat(rep.U_betti)}",
         f"A1={rep.A1} A2={rep.A2} shelling={rep.shelling_pass} ball={rep.ball_pass}",
         f"verdict: {rep.verdict}",
     ]
@@ -242,7 +236,7 @@ def cmd_cyclic(args) -> int:
         "h": list(h),
         "multiplicity": mult,
         "max_shifts": ms,
-        "shift_bound": _rat(upper),
+        "shift_bound": bnd._rat(upper),
         "bound_holds": mult <= upper,
         "equality_expected": even_case,
         "equality": mult == upper,
@@ -255,42 +249,35 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="shellball", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_field=False):
+    def command(name, func, help, max_facets=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="write the report/file here")
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
-        p.add_argument("--max-facets", type=int, default=paths.DEFAULT_FACET_CAP)
-        p.add_argument("--seed", type=int, default=0)
-        if with_field:
-            p.add_argument("--field", type=int, default=0, help="0 or a prime")
+        if max_facets:
+            p.add_argument("--max-facets", type=int, default=paths.DEFAULT_FACET_CAP)
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("generate", help="write a complex file for a minor or polar instance")
+    g = command("generate", cmd_generate, "write a complex file for a minor or polar instance", True)
     g.add_argument("kind", choices=["minor", "polar"])
     g.add_argument("params", nargs="*")
-    common(g)
-    g.set_defaults(func=cmd_generate)
 
-    c = sub.add_parser("check", help="run the multiplicity-bound pipeline")
+    c = command("check", cmd_check, "run the multiplicity-bound pipeline", True)
     c.add_argument("kind", nargs="?", choices=["minor", "polar"])
     c.add_argument("params", nargs="*")
     c.add_argument("--file", default=None, help="read the complex from a file instead")
-    common(c, with_field=True)
-    c.set_defaults(func=cmd_check)
+    c.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    c.add_argument("--max-vertices", type=int, default=DEFAULT_VERTEX_CAP)
+    c.add_argument("--seed", type=int, default=0, help="echoed into the JSON report")
+    c.add_argument("--field", type=int, default=0, help="0 or a prime")
 
-    d = sub.add_parser("dual", help="verify the dual-matrix cover identity")
+    d = command("dual", cmd_dual, "verify the dual-matrix cover identity")
     d.add_argument("params", nargs="*")
-    common(d)
-    d.set_defaults(func=cmd_dual)
 
-    co = sub.add_parser("corners", help="corner spectrum of non-flippable facets")
+    co = command("corners", cmd_corners, "corner spectrum of non-flippable facets", True)
     co.add_argument("params", nargs="*")
-    common(co)
-    co.set_defaults(func=cmd_corners)
 
-    cy = sub.add_parser("cyclic", help="cyclic-polytope h-vector and shift bound")
+    cy = command("cyclic", cmd_cyclic, "cyclic-polytope h-vector and shift bound")
     cy.add_argument("params", nargs="*")
-    common(cy)
-    cy.set_defaults(func=cmd_cyclic)
     return ap
 
 

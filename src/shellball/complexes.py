@@ -212,7 +212,8 @@ def multiplicity(cx: SimplicialComplex) -> int:
     t = len(cx.facets)
     f = f_vector(cx)
     h = h_vector(f, len(f))
-    assert sum(h) == t, "h-vector sum disagrees with facet count"
+    if sum(h) != t:
+        raise ArithmeticError(f"h-vector sum {sum(h)} disagrees with facet count {t}")
     return t
 
 
@@ -249,29 +250,22 @@ def vector_profile(seq: Sequence[int]) -> VectorProfile:
 # nonfaces, boundary, inside faces
 
 
-def minimal_nonface_masks(cx: SimplicialComplex, over_universe: bool = False) -> list[int]:
-    """Inclusion-minimal nonfaces as masks.
+def _minimal_outside(
+    levels: dict[int, set[int]], used: int, within: dict[int, set[int]] | None = None
+) -> list[int]:
+    """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``.
 
-    By default only subsets of the used vertex set are considered; with
-    ``over_universe`` unused vertices contribute singleton nonfaces (the
-    convention needed for Alexander duality on a fixed universe).
-
-    Candidates of size k are faces of size k-1 extended by one vertex: a
-    minimal nonface has all proper subsets among the faces, so the search
-    terminates by itself once no (k-1)-faces remain.  No a-priori size
-    bound is assumed.
+    Candidates of size k are (k-1)-sets of the lattice extended by one used
+    vertex; a candidate outside the lattice is minimal iff every
+    codimension-one subset lies in it.  The search stops by itself at the
+    first size with no (k-1)-sets, so no size bound is assumed.  With
+    ``within`` (another lattice by size) only its members are kept.
     """
-    levels = cx.faces_by_size()
-    used = cx.used_mask
     out: list[int] = []
-    if over_universe:
-        out.extend(1 << v for v in cx.unused_vertices)
-    verts = vertices_of(used)
-    for k in range(2, len(verts) + 2):
-        base = levels.get(k - 1)
-        if not base:
-            break
-        cur = levels.get(k, set())
+    k = 1
+    while base := levels.get(k - 1):
+        cur = levels.get(k, ())
+        keep = within.get(k, ()) if within is not None else None
         seen: set[int] = set()
         for f in base:
             rem = used & ~f
@@ -282,10 +276,24 @@ def minimal_nonface_masks(cx: SimplicialComplex, over_universe: bool = False) ->
                 if g in seen:
                     continue
                 seen.add(g)
-                if g in cur:
+                if g in cur or (keep is not None and g not in keep):
                     continue
                 if all((g ^ (1 << v)) in base for v in iter_bits(g)):
                     out.append(g)
+        k += 1
+    return out
+
+
+def minimal_nonface_masks(cx: SimplicialComplex, over_universe: bool = False) -> list[int]:
+    """Inclusion-minimal nonfaces as masks.
+
+    By default only subsets of the used vertex set are considered; with
+    ``over_universe`` unused vertices contribute singleton nonfaces (the
+    convention needed for Alexander duality on a fixed universe).
+    """
+    out = _minimal_outside(cx.faces_by_size(), cx.used_mask)
+    if over_universe:
+        out.extend(1 << v for v in cx.unused_vertices)
     return sorted(out, key=_canonical_key)
 
 
@@ -335,49 +343,20 @@ def boundary_complex(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.n, bnd, cx.labels)
 
 
-def is_boundary_face(boundary: SimplicialComplex, face_mask: int) -> bool:
-    """True iff the face lies in the (downward closed) boundary complex."""
-    return any(face_mask & ~b == 0 for b in boundary.facets)
-
-
 def minimal_inside_faces(
     cx: SimplicialComplex, boundary: SimplicialComplex | None = None
 ) -> list[tuple[int, ...]]:
     """Inclusion-minimal faces of the complex not lying on its boundary.
 
     These index the generators of the canonical ideal of a ball; their
-    cardinalities are the generator degrees.
+    cardinalities are the generator degrees.  They are the minimal sets
+    outside the boundary's face lattice that are faces of the complex.
     """
     if boundary is None:
         boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
-    levels = cx.faces_by_size()
-    blevels = boundary.faces_by_size()
-    used = cx.used_mask
-    out: list[int] = []
-    top = cx.dim + 1
-    for k in range(1, top + 1):
-        base = blevels.get(k - 1)
-        if not base:
-            break
-        cur_faces = levels.get(k, set())
-        seen: set[int] = set()
-        for f in base:
-            rem = used & ~f
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                g = f | b
-                if g in seen:
-                    continue
-                seen.add(g)
-                if g not in cur_faces:
-                    continue
-                if is_boundary_face(boundary, g):
-                    continue
-                if all((g ^ (1 << v)) in base for v in iter_bits(g)):
-                    out.append(g)
+    out = _minimal_outside(boundary.faces_by_size(), cx.used_mask, within=cx.faces_by_size())
     return [vertices_of(m) for m in sorted(out, key=_canonical_key)]
 
 

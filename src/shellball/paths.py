@@ -180,10 +180,6 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
     return out
 
 
-def corners(family: PathFamily) -> frozenset[Point]:
-    return family.corners
-
-
 # ---------------------------------------------------------------------------
 # flips
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import SimplicialComplex, build_complex, mask_of, minimal_nonfaces
-from .shelling import verify_ball
+from .complexes import MAX_VERTICES, SimplicialComplex, build_complex, mask_of
 
 
 def grid_index(i: int, j: int, t: int) -> int:
@@ -86,29 +85,18 @@ def theta(a, n: int, t: int) -> tuple[int, ...]:
     )
 
 
-def power_ideal_complex(
-    n: int, t: int, max_vertices: int = 128, certify: bool = False
-) -> tuple[SimplicialComplex, list[int]]:
+def power_ideal_complex(n: int, t: int) -> tuple[SimplicialComplex, list[int]]:
     """Complex of the polarized t-th power plus its degree-then-lex shelling order.
 
-    Always asserts that the minimal nonfaces are exactly the polarized
-    degree-t generators; with ``certify`` the ball gluing conditions are
-    checked as well (linear-resolution certification is left to callers,
-    since it needs a Betti table within the homology vertex cap).
+    Certifying the ball (``verify_ball``) and its minimal nonfaces, the
+    polarized degree-t generators, is left to callers.
     """
-    if n * t > max_vertices:
-        raise ValueError(f"grid size {n * t} exceeds vertex cap {max_vertices}")
+    if n * t > MAX_VERTICES:
+        raise ValueError(f"grid size {n * t} exceeds vertex cap {MAX_VERTICES}")
     gamma = multicomplex_facets(n, t)
     images = [theta(a, n, t) for a in gamma]
     assert len(set(images)) == len(images), "facet map must be injective"
     cx = build_complex(images, n * t, labels=grid_labels(n, t))
     mask_pos = {mask: k for k, mask in enumerate(cx.facets)}
     order = [mask_pos[mask_of(img)] for img in images]
-    expected = sorted(polarize(g, t) for g in power_generators(n, t))
-    assert [
-        tuple(nf) for nf in minimal_nonfaces(cx)
-    ] == expected, "minimal nonfaces must be the polarized generators"
-    if certify:
-        cert = verify_ball(cx, order)
-        assert cert.ok, f"ball certification failed: {cert.reason}"
     return cx, order

@@ -1,8 +1,10 @@
 """Step-by-step verification of shelling orders and ball gluings.
 
-A shelling is checked literally: at each step the intersection with the
-union of earlier facets (computed as the maximal pairwise intersections)
-must be nonempty and generated by codimension-one faces.  The ball
+A shelling is checked by Bjorner's restriction-face characterisation: at
+step i the restriction face R_i, the set of vertices v of the new facet F_i
+for which F_i - v lies in an earlier facet, must be nonempty and lie in no
+earlier facet.  This holds exactly when the intersection with the union of
+earlier facets is nonempty and generated by codimension-one faces.  The ball
 certificate additionally demands, per step, that every glued ridge lies in
 exactly one earlier facet and that at least one ridge of the new facet is
 left unglued; gluing along all ridges would close the complex up to a
@@ -84,43 +86,49 @@ def _check_order(cx: SimplicialComplex, order) -> tuple[int, ...]:
     return order
 
 
+def _failure_reason(fi: int, inters: list[int]) -> str:
+    """Why a step fails: the first maximal intersection that is not a ridge.
+
+    The restriction-face test fails exactly when the maximal pairwise
+    intersections are absent or include a non-ridge, so one is found.
+    """
+    size = fi.bit_count()
+    nonempty = list(dict.fromkeys(m for m in inters if m))
+    maximal = [m for m in nonempty if not any(m != g and m & ~g == 0 for g in nonempty)]
+    if not maximal:
+        return "empty intersection with earlier facets"
+    bad = next(m for m in maximal if m.bit_count() != size - 1)
+    return f"intersection face {vertices_of(bad)} has codimension {size - bad.bit_count()} (want 1)"
+
+
 def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
     """Check that the given facet order is a shelling, step by step."""
     order = _check_order(cx, order)
-    facets = cx.facets
+    ordered = [cx.facets[k] for k in order]
     steps: list[ShellingStep] = []
     for i in range(1, len(order)):
-        fi = facets[order[i]]
-        size = fi.bit_count()
-        inters = {}
-        for k in range(i):
-            m = fi & facets[order[k]]
-            if m:
-                inters.setdefault(m, []).append(k)
-        maximal = [
-            m for m in inters if not any(m != g and m & ~g == 0 for g in inters)
-        ]
-        step = ShellingStep(position=i, facet_index=order[i])
-        if not maximal:
+        fi = ordered[i]
+        ridge_size = fi.bit_count() - 1
+        inters = [fi & g for g in ordered[:i]]
+        glued: dict[int, list[int]] = {}
+        restriction = 0
+        for k, m in enumerate(inters):
+            # the empty face is never a glued ridge, so 0-dimensional
+            # complexes with two or more vertices do not shell
+            if m and m.bit_count() == ridge_size:
+                glued.setdefault(m, []).append(k)
+                restriction |= fi ^ m
+        if not restriction or any(restriction & ~m == 0 for m in inters):
             return ShellingCertificate(
-                order, steps, ok=False, failed_step=i, reason="empty intersection with earlier facets"
+                order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
             )
-        bad = [m for m in maximal if m.bit_count() != size - 1]
-        if bad:
-            return ShellingCertificate(
-                order,
-                steps,
-                ok=False,
-                failed_step=i,
-                reason=(
-                    f"intersection face {vertices_of(bad[0])} has codimension "
-                    f"{size - bad[0].bit_count()} (want 1)"
-                ),
+        steps.append(
+            ShellingStep(
+                position=i,
+                facet_index=order[i],
+                glued=[GluedRidge(ridge=m, in_earlier=tuple(glued[m])) for m in sorted(glued)],
             )
-        for m in sorted(maximal):
-            containing = tuple(k for k in range(i) if m & ~facets[order[k]] == 0)
-            step.glued.append(GluedRidge(ridge=m, in_earlier=containing))
-        steps.append(step)
+        )
     return ShellingCertificate(order, steps, ok=True)
 
 

@@ -125,6 +125,22 @@ def test_cyclic_command(capsys):
     assert rep["multiplicity"] == 20 and rep["equality"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "m=3", "n=4", "--format", "csv"],
+        ["cyclic", "n=8", "d=5", "--max-facets", "10"],
+        ["corners", "m=4", "n=5", "r=2", "--max-vertices", "4"],
+        ["generate", "polar", "n=2", "t=2", "--seed", "1"],
+    ],
+)
+def test_dropped_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # generate writes into the working directory
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and not stdout
+    assert "unrecognized arguments" in err
+
+
 def test_byte_stable_reports(capsys):
     _, first, _ = run(capsys, "check", "minor", "m=2", "n=3", "r=1")
     _, second, _ = run(capsys, "check", "minor", "m=2", "n=3", "r=1")

@@ -7,7 +7,6 @@ from shellball.complexes import (
     boundary_complex,
     f_vector,
     h_vector,
-    is_boundary_face,
     minimal_inside_faces,
     minimal_nonfaces,
     multiplicity,
@@ -341,7 +340,7 @@ def test_boundary_via_corners_matches_direct(m, n, r):
                 continue
             for mask in masks:
                 pts = [spec.point_of(v) for v in vertices_of(mask)]
-                assert pred(pts) == is_boundary_face(bd, mask)
+                assert pred(pts) == bd.is_face(mask)
 
 
 def test_dropped_corner_lands_in_unique_earlier_facet():

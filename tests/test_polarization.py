@@ -81,10 +81,11 @@ def test_power_complex_23():
     assert verify_ball(cx, order).ok
 
 
-@pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (5, 2)])
 def test_power_complex_certified(n, t):
-    cx, order = power_ideal_complex(n, t, certify=True)
+    cx, order = power_ideal_complex(n, t)
     assert len(cx.facets) == len(order)
+    assert verify_ball(cx, order).ok
     # minimal nonfaces are exactly the polarized degree-t generators
     gens = sorted(polarize(g, t) for g in power_generators(n, t))
     assert [tuple(nf) for nf in minimal_nonfaces(cx)] == gens

@@ -1,18 +1,22 @@
 """Randomized invariants over generated complexes (all seeded via hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellball.bounds import check_conjecture
 from shellball.complexes import (
+    SimplicialComplex,
     boundary_complex,
     boundary_h_from_h,
     build_complex,
     f_from_h,
     f_vector,
     h_vector,
+    minimal_inside_faces,
     multiplicity,
     vector_profile,
+    vertices_of,
 )
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
 from shellball.polarization import power_ideal_complex
@@ -112,3 +116,57 @@ def test_verdicts_are_field_independent(params, char):
     cx, order = path_complex(MinorSpec.diagonal(m, n, r))
     rep = check_conjecture(cx, order, field_char=char, max_vertices=12)
     assert rep.verdict == "PASS"
+
+
+def bruteforce_inside_faces(cx):
+    """Oracle: scan every subset of the used vertices for the faces off the
+    boundary none of whose codimension-one subsets is off the boundary."""
+    bd = boundary_complex(cx)
+    used = cx.used_mask
+
+    def inside(s):
+        return cx.is_face(s) and not bd.is_face(s)
+
+    return sorted(
+        vertices_of(s)
+        for s in range(1, 1 << cx.n)
+        if s & ~used == 0 and inside(s) and not any(inside(s ^ (1 << v)) for v in vertices_of(s))
+    )
+
+
+@st.composite
+def shelled_balls(draw, max_n=9):
+    # grow a ball one facet at a time: cone a boundary ridge to any vertex
+    # and keep the new facet only if the ball certificate still passes
+    size = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=size + 1, max_value=max_n))
+    facets = [(1 << size) - 1]
+    for _ in range(draw(st.integers(min_value=3, max_value=12))):
+        cx = SimplicialComplex(n, facets)
+        ridges = sorted(boundary_complex(cx).facets)
+        ridge = draw(st.sampled_from(ridges))
+        v = draw(st.sampled_from([v for v in range(n) if not ridge >> v & 1]))
+        new = ridge | 1 << v
+        if new in facets:
+            continue
+        grown = SimplicialComplex(n, facets + [new])
+        if verify_ball(grown, [grown.facets.index(f) for f in facets + [new]]).ok:
+            facets.append(new)
+    return SimplicialComplex(n, facets)
+
+
+@given(shelled_balls())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_minimal_inside_faces_bruteforce_oracle_on_random_balls(cx):
+    assert sorted(minimal_inside_faces(cx)) == bruteforce_inside_faces(cx)
+
+
+@pytest.mark.parametrize(
+    "instance", [("minor", *p) for p in MINOR_INSTANCES] + [("polar", *p) for p in POLAR_INSTANCES]
+)
+def test_minimal_inside_faces_bruteforce_oracle_on_small_instances(instance):
+    if instance[0] == "minor":
+        cx, _ = path_complex(MinorSpec.diagonal(*instance[1:]))
+    else:
+        cx, _ = power_ideal_complex(*instance[1:])
+    assert sorted(minimal_inside_faces(cx)) == bruteforce_inside_faces(cx)

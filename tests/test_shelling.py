@@ -1,8 +1,58 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shellball.complexes import boundary_complex, build_complex, vertices_of
-from shellball.shelling import verify_ball, verify_shelling
+from shellball.paths import MinorSpec, path_complex
+from shellball.polarization import power_ideal_complex
+from shellball.shelling import (
+    GluedRidge,
+    ShellingCertificate,
+    ShellingStep,
+    verify_ball,
+    verify_shelling,
+)
 from tests.test_complexes import MINOR23
+from tests.test_properties import pure_complexes
+
+
+def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
+    """Oracle: the intersection with the earlier facets as the antichain of
+    maximal pairwise intersections, each glued ridge located by a rescan."""
+    order = tuple(order)
+    facets = cx.facets
+    steps = []
+    for i in range(1, len(order)):
+        fi = facets[order[i]]
+        size = fi.bit_count()
+        inters = {}
+        for k in range(i):
+            m = fi & facets[order[k]]
+            if m:
+                inters.setdefault(m, []).append(k)
+        maximal = [m for m in inters if not any(m != g and m & ~g == 0 for g in inters)]
+        step = ShellingStep(position=i, facet_index=order[i])
+        if not maximal:
+            return ShellingCertificate(
+                order, steps, ok=False, failed_step=i, reason="empty intersection with earlier facets"
+            )
+        bad = [m for m in maximal if m.bit_count() != size - 1]
+        if bad:
+            return ShellingCertificate(
+                order,
+                steps,
+                ok=False,
+                failed_step=i,
+                reason=(
+                    f"intersection face {vertices_of(bad[0])} has codimension "
+                    f"{size - bad[0].bit_count()} (want 1)"
+                ),
+            )
+        for m in sorted(maximal):
+            containing = tuple(k for k in range(i) if m & ~facets[order[k]] == 0)
+            step.glued.append(GluedRidge(ridge=m, in_earlier=containing))
+        steps.append(step)
+    return ShellingCertificate(order, steps, ok=True)
 
 
 def test_two_triangles_sharing_edge():
@@ -84,3 +134,54 @@ def test_certificate_serialization():
     assert js["shelling"]["order"] == [0, 1, 2]
     glued = js["shelling"]["steps"][0]["glued"]
     assert glued == [{"ridge": [1, 2, 3], "in_earlier": [0]}]
+
+
+@st.composite
+def ordered_pure_complexes(draw):
+    cx = draw(pure_complexes())
+    return cx, draw(st.permutations(range(len(cx.facets))))
+
+
+@st.composite
+def ridge_walks(draw, max_n=8):
+    # each new facet swaps one vertex of an earlier facet, so every step
+    # glues along a ridge and the verdict rests on the restriction face
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    size = draw(st.integers(min_value=2, max_value=n - 1))
+    seq = [(1 << size) - 1]
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        f = draw(st.sampled_from(seq))
+        out = draw(st.sampled_from(vertices_of(f)))
+        into = draw(st.sampled_from([v for v in range(n) if not f >> v & 1]))
+        g = f ^ 1 << out | 1 << into
+        if g not in seq:
+            seq.append(g)
+    cx = build_complex([vertices_of(f) for f in seq], n)
+    return cx, [cx.facets.index(f) for f in seq]
+
+
+BALL_INSTANCES = [("minor", 2, 3, 1), ("minor", 3, 4, 1), ("minor", 3, 4, 2), ("polar", 3, 3)]
+
+
+@st.composite
+def near_shelling_orders(draw):
+    # a few adjacent swaps of a ball's shelling order give both passing
+    # orders and orders that fail late, with several glued ridges per step
+    kind, *params = draw(st.sampled_from(BALL_INSTANCES))
+    if kind == "minor":
+        cx, order = path_complex(MinorSpec.diagonal(*params))
+    else:
+        cx, order = power_ideal_complex(*params)
+    order = list(order)
+    for s in draw(st.lists(st.integers(0, 2**16), max_size=4)):
+        k = s % (len(order) - 1)
+        order[k], order[k + 1] = order[k + 1], order[k]
+    return cx, order
+
+
+@given(st.one_of(ordered_pure_complexes(), ridge_walks(), near_shelling_orders()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_verify_shelling_matches_pairwise_oracle(case):
+    cx, order = case
+    want = pairwise_antichain_shelling(cx, order).to_json_dict()
+    assert verify_shelling(cx, order).to_json_dict() == want
