@@ -1,25 +1,30 @@
 """Reduced simplicial homology ranks and graded Betti tables.
 
-Betti numbers of a Stanley-Reisner quotient are computed by full
-enumeration of induced subcomplexes: beta_{i,j} for i >= 1 is the sum over
-vertex subsets W of size j of the reduced homology rank of the induced
-subcomplex in dimension j-i-1, and beta_{0,0} = 1.  Homology ranks come
-from exact boundary-matrix ranks (fraction-free over Q, elimination over
-GF(p)); connectivity in degree one is handled by union-find instead of a
-matrix.
+Betti numbers of a Stanley-Reisner quotient come from Hochster's formula:
+beta_{i,j} for i >= 1 is the sum over vertex subsets W of size j of the
+reduced homology rank of the induced subcomplex in dimension j-i-1, and
+beta_{0,0} = 1.  Homology ranks come from exact boundary-matrix ranks
+(fraction-free over Q, elimination over GF(p)); connectivity in degree one
+is handled by union-find instead of a matrix.
 
-Enumeration walks a binary tree over the used vertices, filtering the face
-list once per excluded vertex, so the total work is proportional to the
-number of (subset, face) incidences rather than 2^n scans of the full face
-list.  The default cap of 16 used vertices keeps this a desk-scale tool.
+Only the unions of minimal nonfaces are summed (the support of the lcm
+lattice).  If some vertex x of W lies in no minimal nonface inside W, then
+adding x to a face of the induced subcomplex on W gives a face again, so
+that subcomplex is a cone over x and has no reduced homology.  One binary
+walk over the used vertices finds the remaining W: it filters the face
+list and the minimal nonfaces once per excluded vertex and cuts a subtree
+as soon as a chosen vertex lies in no minimal nonface avoiding the excluded
+ones.  Full tables and single rows (`hochster_betti_row`) share this walk;
+the default cap of 16 used vertices applies to full tables only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
-from .complexes import SimplicialComplex, iter_bits
+from .complexes import SimplicialComplex, iter_bits, minimal_nonface_masks
 from .exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
 
 DEFAULT_VERTEX_CAP = 16
@@ -153,34 +158,16 @@ def _betti_from_entries(entries: dict[tuple[int, int], int]) -> BettiTable:
     return BettiTable(entries=entries, p=max(i for i, _ in entries))
 
 
-def _compact_levels(cx: SimplicialComplex) -> tuple[list[int], dict[int, list[int]]]:
-    """Relabel used vertices to 0..u-1 and return faces by size in the compact space."""
-    used = list(cx.used_vertices)
-    pos = {v: i for i, v in enumerate(used)}
-    levels: dict[int, list[int]] = {}
-    for s, masks in cx.faces_by_size().items():
-        if s < 1:
-            continue
-        remapped = []
-        for m in masks:
-            c = 0
-            for v in iter_bits(m):
-                c |= 1 << pos[v]
-            remapped.append(c)
-        levels[s] = sorted(remapped)
-    return used, levels
+def _hochster_entries(cx: SimplicialComplex, char: int) -> dict[tuple[int, int], int]:
+    """Hochster sums over the nonempty unions W of minimal nonfaces.
 
-
-def hochster_betti_table(
-    cx: SimplicialComplex, field: int = 0, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> BettiTable:
-    """Full graded Betti table of S/I via induced-subcomplex homology."""
-    char = check_field(field)
-    used, levels = _compact_levels(cx)
-    u = len(used)
-    if u > max_vertices:
-        raise ValueError(f"used-vertex count {u} exceeds cap {max_vertices}")
-    flat = sorted((m for masks in levels.values() for m in masks))
+    `faces` and `nonfaces` in the walk are those avoiding every excluded
+    vertex; a subtree in which a chosen vertex lies in none of the nonfaces
+    holds only cones (see the module docstring) and is cut.
+    """
+    used = cx.used_vertices
+    faces = sorted(m for s, masks in cx.faces_by_size().items() if s for m in masks)
+    nonfaces = minimal_nonface_masks(cx)
     entries: dict[tuple[int, int], int] = {}
 
     def process(w_size: int, faces: list[int]) -> None:
@@ -192,16 +179,33 @@ def hochster_betti_table(
                 key = (w_size - 1 - dim, w_size)
                 entries[key] = entries.get(key, 0) + rank
 
-    def rec(v: int, faces: list[int], size: int) -> None:
-        if v == u:
-            if size:
-                process(size, faces)
+    def rec(k: int, faces: list[int], nonfaces: list[int], chosen: int) -> None:
+        if k == len(used):
+            if chosen:
+                process(chosen.bit_count(), faces)
             return
-        rec(v + 1, [f for f in faces if not (f >> v) & 1], size)
-        rec(v + 1, faces, size + 1)
+        bit = 1 << used[k]
+        rest = [m for m in nonfaces if not m & bit]
+        # exclude only while the chosen vertices stay covered, choose only
+        # when a remaining nonface passes through the vertex
+        if chosen & ~reduce(or_, rest, 0) == 0:
+            rec(k + 1, [f for f in faces if not f & bit], rest, chosen)
+        if len(rest) < len(nonfaces):
+            rec(k + 1, faces, nonfaces, chosen | bit)
 
-    rec(0, flat, 0)
-    return _betti_from_entries(entries)
+    rec(0, faces, nonfaces, 0)
+    return entries
+
+
+def hochster_betti_table(
+    cx: SimplicialComplex, field: int = 0, max_vertices: int = DEFAULT_VERTEX_CAP
+) -> BettiTable:
+    """Full graded Betti table of S/I via induced-subcomplex homology."""
+    char = check_field(field)
+    u = len(cx.used_vertices)
+    if u > max_vertices:
+        raise ValueError(f"used-vertex count {u} exceeds cap {max_vertices}")
+    return _betti_from_entries(_hochster_entries(cx, char))
 
 
 def hochster_betti_row(
@@ -209,38 +213,11 @@ def hochster_betti_row(
 ) -> dict[int, int]:
     """Single homological index of the Betti table: {j: beta_{i,j}}.
 
-    Same subset sums as the full table restricted to one i, needing faces
-    in only three consecutive sizes per subset; usable past the full-table
-    vertex cap.
+    Read from the same pruned walk as the full table, without its vertex
+    cap, so it stays usable past the cap.
     """
     char = check_field(field)
-    if i == 0:
-        return {0: 1}
-    used, levels = _compact_levels(cx)
-    u = len(used)
-    out: dict[int, int] = {}
-    for j in range(i + 1, u + 1):
-        k = j - i - 1  # homology dimension probed at this degree
-        total = 0
-        for combo in combinations(range(u), j):
-            w = 0
-            for v in combo:
-                w |= 1 << v
-            mid = [m for m in levels.get(k + 1, ()) if m & ~w == 0]
-            if not mid:
-                continue
-            if k == 0:
-                edges = [m for m in levels.get(2, ()) if m & ~w == 0]
-                total += _component_count(mid, edges) - 1
-            else:
-                low = [m for m in levels.get(k, ()) if m & ~w == 0]
-                top = [m for m in levels.get(k + 2, ()) if m & ~w == 0]
-                bk = _boundary_rank(low, mid, char)
-                bk1 = _boundary_rank(mid, top, char)
-                total += len(mid) - bk - bk1
-        if total:
-            out[j] = total
-    return out
+    return _betti_from_entries(_hochster_entries(cx, char)).row(i)
 
 
 def shifts(table: BettiTable) -> tuple[list[int | None], list[int | None]]:

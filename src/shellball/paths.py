@@ -175,7 +175,10 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
     walk(0, (spec.rows[0], n), set(), [])
     expected = spec.facet_size
     for fam in out:
-        assert len(fam) == expected, "facet cardinality violates the closed formula"
+        if len(fam) != expected:
+            raise ArithmeticError(
+                f"facet cardinality {len(fam)} violates the closed formula {expected}"
+            )
     out.sort(key=lambda fam: fam.index_tuple)
     return out
 
@@ -204,8 +207,10 @@ def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
     if v not in pts or down not in pts or right not in pts or down in crn or right in crn:
         raise ValueError(f"not flippable at {v}")
     new = _sorted_path(pts - {v} | {(v[0] + 1, v[1] + 1)})
-    assert _is_valid_path(new)
-    assert crn < path_corners(new), "flip must strictly enlarge the corner set"
+    if not _is_valid_path(new):
+        raise ArithmeticError(f"flip at {v} leaves a broken path")
+    if not crn < path_corners(new):
+        raise ArithmeticError(f"flip at {v} does not strictly enlarge the corner set")
     return new
 
 
@@ -389,8 +394,10 @@ def _path_from_corners(
     pts.extend((row, j) for j in range(col - 1 if cs else col, b - 1, -1))
     pts.extend((i, b) for i in range(row + 1, m + 1))
     path = tuple(pts)
-    assert _is_valid_path(path) and path[0] == (a, n) and path[-1] == (m, b)
-    assert path_corners(path) == frozenset(cs)
+    if not (_is_valid_path(path) and path[0] == (a, n) and path[-1] == (m, b)):
+        raise ArithmeticError(f"corners {cs} give no lattice path from {(a, n)} to {(m, b)}")
+    if path_corners(path) != frozenset(cs):
+        raise ArithmeticError(f"path through corners {cs} has corners {sorted(path_corners(path))}")
     return path
 
 
@@ -429,8 +436,10 @@ def construct_nonflippable(m: int, n: int, r: int, t: int) -> PathFamily:
                 raise ValueError(f"constructed paths collide at {pt}")
             seen.add(pt)
     fam = PathFamily(spec, paths)
-    assert fam.corner_count == t
-    assert is_non_flippable(fam)
+    if fam.corner_count != t:
+        raise ArithmeticError(f"constructed facet has {fam.corner_count} corners, want {t}")
+    if not is_non_flippable(fam):
+        raise ArithmeticError("constructed facet is flippable")
     return fam
 
 

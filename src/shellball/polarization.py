@@ -95,7 +95,8 @@ def power_ideal_complex(n: int, t: int) -> tuple[SimplicialComplex, list[int]]:
         raise ValueError(f"grid size {n * t} exceeds vertex cap {MAX_VERTICES}")
     gamma = multicomplex_facets(n, t)
     images = [theta(a, n, t) for a in gamma]
-    assert len(set(images)) == len(images), "facet map must be injective"
+    if len(set(images)) != len(images):
+        raise ArithmeticError("facet map theta is not injective")
     cx = build_complex(images, n * t, labels=grid_labels(n, t))
     mask_pos = {mask: k for k, mask in enumerate(cx.facets)}
     order = [mask_pos[mask_of(img)] for img in images]

@@ -113,9 +113,8 @@ def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
         glued: dict[int, list[int]] = {}
         restriction = 0
         for k, m in enumerate(inters):
-            # the empty face is never a glued ridge, so 0-dimensional
-            # complexes with two or more vertices do not shell
-            if m and m.bit_count() == ridge_size:
+            # for points the ridge is the empty face, glued to every earlier facet
+            if m.bit_count() == ridge_size:
                 glued.setdefault(m, []).append(k)
                 restriction |= fi ^ m
         if not restriction or any(restriction & ~m == 0 for m in inters):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
-from shellball.complexes import build_complex, minimal_nonfaces
+from shellball import homology
+from shellball.complexes import boundary_complex, build_complex, minimal_nonfaces
 from shellball.homology import (
     BettiTable,
+    _betti_from_entries,
+    _reduced_ranks,
     betti_row_degrees,
     canonical_generator_degrees,
     has_linear_resolution,
@@ -12,7 +16,10 @@ from shellball.homology import (
     reduced_homology_ranks,
     shifts,
 )
+from shellball.paths import MinorSpec, path_complex
+from shellball.polarization import power_ideal_complex
 from tests.test_complexes import MINOR23, SPHERE23
+from tests.test_properties import pure_complexes
 
 
 def square():
@@ -172,3 +179,86 @@ def test_betti_json():
     tab = hochster_betti_table(square())
     js = tab.to_json_dict()
     assert js == {"p": 2, "entries": [[0, 0, 1], [1, 2, 2], [2, 4, 1]]}
+
+
+def unpruned_betti_table(cx, field=0) -> BettiTable:
+    """Oracle: Hochster's sum over every nonempty subset of the used vertices,
+    by a binary walk that filters the face list once per excluded vertex."""
+    used = cx.used_vertices
+    flat = sorted(m for s, masks in cx.faces_by_size().items() if s for m in masks)
+    entries = {}
+
+    def process(w_size, faces):
+        grouped = {}
+        for m in faces:
+            grouped.setdefault(m.bit_count(), []).append(m)
+        for dim, rank in _reduced_ranks(grouped, field).items():
+            if rank:
+                key = (w_size - 1 - dim, w_size)
+                entries[key] = entries.get(key, 0) + rank
+
+    def rec(k, faces, size):
+        if k == len(used):
+            if size:
+                process(size, faces)
+            return
+        bit = 1 << used[k]
+        rec(k + 1, [f for f in faces if not f & bit], size)
+        rec(k + 1, faces, size + 1)
+
+    rec(0, flat, 0)
+    return _betti_from_entries(entries)
+
+
+def _differential_instances():
+    yield "square", square()
+    yield "sphere23", build_complex(SPHERE23, 6)
+    yield "path22", build_complex(PATH22, 4)
+    balls = [
+        (f"minor {m} {n} {r}", path_complex(MinorSpec.diagonal(m, n, r))[0])
+        for m, n, r in [(2, 3, 1), (2, 4, 1), (2, 5, 1), (3, 4, 1)]
+    ]
+    balls += [
+        (f"polar {n} {t}", power_ideal_complex(n, t)[0])
+        for n, t in [(3, 2), (2, 3), (4, 2), (2, 4), (3, 3), (2, 5)]
+    ]
+    for name, ball in balls:
+        yield name, ball
+        yield f"{name} boundary", boundary_complex(ball)
+
+
+DIFFERENTIAL = list(_differential_instances())
+
+
+@pytest.mark.parametrize("name,cx", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
+def test_pruned_table_matches_unpruned_walk(name, cx):
+    assert len(cx.used_vertices) <= 12
+    for field in (0, 2, 3):
+        want = unpruned_betti_table(cx, field)
+        assert hochster_betti_table(cx, field=field).entries == want.entries, field
+        if field == 2:
+            for i in range(want.p + 2):
+                assert hochster_betti_row(cx, i, field=2) == want.row(i), i
+
+
+@given(pure_complexes(max_n=8))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pruned_table_matches_unpruned_walk_random(cx):
+    for field in (0, 2, 3):
+        want = unpruned_betti_table(cx, field)
+        assert hochster_betti_table(cx, field=field).entries == want.entries
+
+
+def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
+    calls = []
+
+    def counting(levels, char):
+        calls.append(sum(len(masks) for masks in levels.values()))
+        return _reduced_ranks(levels, char)
+
+    monkeypatch.setattr(homology, "_reduced_ranks", counting)
+    bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
+    assert len(bd.used_vertices) == 12
+    table = hochster_betti_table(bd, field=2)
+    assert len(calls) == 29  # of 4095 nonempty subsets; the rest span cones
+    assert table.entries == unpruned_betti_table(bd, 2).entries

@@ -140,6 +140,17 @@ def test_flip_on_minor23():
         flip(flipped, (1, 2))
 
 
+def test_internal_checks_raise(monkeypatch):
+    # the checks are raised errors, not asserts, so `python -O` keeps them
+    import shellball.paths as paths
+
+    monkeypatch.setattr(paths, "path_corners", lambda path: frozenset())
+    with pytest.raises(ArithmeticError, match="corner set"):
+        flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
+    with pytest.raises(ArithmeticError, match="has corners"):
+        construct_nonflippable(6, 7, 3, 3)
+
+
 def test_flip_grows_corners_everywhere():
     # every path flip on every facet strictly enlarges the corner set
     for m, n, r in SMALL_SPECS:

@@ -18,7 +18,8 @@ from tests.test_properties import pure_complexes
 
 def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
     """Oracle: the intersection with the earlier facets as the antichain of
-    maximal pairwise intersections, each glued ridge located by a rescan."""
+    maximal pairwise intersections, each glued ridge located by a rescan.
+    The empty intersection counts only for points, whose ridge it is."""
     order = tuple(order)
     facets = cx.facets
     steps = []
@@ -28,7 +29,7 @@ def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
         inters = {}
         for k in range(i):
             m = fi & facets[order[k]]
-            if m:
+            if m or size == 1:
                 inters.setdefault(m, []).append(k)
         maximal = [m for m in inters if not any(m != g and m & ~g == 0 for g in inters)]
         step = ShellingStep(position=i, facet_index=order[i])
@@ -74,6 +75,21 @@ def test_disconnected_fails():
     cx = build_complex([{0, 1}, {2, 3}], 4)
     cert = verify_shelling(cx, [0, 1])
     assert not cert.ok and "empty intersection" in cert.reason
+
+
+def test_points():
+    one = build_complex([{0}], 1)
+    assert verify_shelling(one, [0]).ok and verify_ball(one, [0]).ok
+    for n in (2, 3):
+        cx = build_complex([{v} for v in range(n)], n)
+        shell = verify_shelling(cx, range(n))
+        assert shell.ok
+        assert [g.to_json_dict() for g in shell.steps[-1].glued] == [
+            {"ridge": [], "in_earlier": list(range(n - 1))}
+        ]
+        cert = verify_ball(cx, range(n))
+        assert not cert.ok and cert.failed_step == 1
+        assert cert.reason == "all ridges glued: closes to a sphere or worse"
 
 
 def test_minor23_order_passes():
