@@ -2,8 +2,9 @@
 
 Facets of the complex are single monotone lattice paths from the top-right
 to the bottom-left of a 2x3 grid.  We enumerate them, certify the shelling
-and the ball gluing step by step, and read the h-vector off in two
-independent ways.
+and the ball gluing step by step, and read the h-vector off in three
+independent ways: the f-vector transform, the corner counts, and the
+glued ridges of the certificate.
 """
 
 import shellball as sb
@@ -27,6 +28,7 @@ h = sb.h_vector(f, len(f))
 print(f"f-vector {f}")
 print(f"h-vector by binomial transform: {h}")
 print(f"h-vector by corner counts:      {sb.h_via_corners(facets)}")
+print(f"h-vector by the certificate:    {sb.certified_h(cx, cert.shelling)}")
 
 boundary = sb.boundary_complex(cx)
 bh = sb.h_vector(sb.f_vector(boundary), len(f) - 1)
@@ -34,3 +36,4 @@ print(f"\nboundary sphere: {len(boundary.facets)} triangles, h' = {bh}")
 print(f"h' from the ball's h by partial sums: {sb.boundary_h_from_h(h, len(f))}")
 print(f"minimal nonfaces (diagonal supports): {sb.minimal_nonfaces(cx)}")
 print(f"minimal inside faces:                 {sb.minimal_inside_faces(cx)}")
+print(f"minimal inside faces by certificate:  {sb.certified_inside_faces(cx, cert)}")

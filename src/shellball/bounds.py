@@ -30,7 +30,7 @@ from .homology import (
     hochster_betti_table,
     shifts,
 )
-from .shelling import BallCertificate, verify_ball
+from .shelling import BallCertificate, certified_h, certified_inside_faces, verify_ball
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,9 @@ def check_conjecture(
     hypothesis holds; any failed hypothesis (no boundary, uncertified ball,
     undefined or out-of-range m, interior vertices, A1, A2) downgrades the
     verdict to INAPPLICABLE with all computable data still reported.
+    The ball's h (hence f) is read off a passing shelling certificate and
+    its minimal inside faces off a passing ball certificate; only an order
+    that fails falls back to the ball's face lattice.
     """
     check_field(field_char)
     if not ball.is_pure:
@@ -220,8 +223,12 @@ def check_conjecture(
     cert = verify_ball(ball, order)
     d = ball.dim + 1
     n = len(ball.used_vertices)
-    f = cxmod.f_vector(ball)
-    h = cxmod.h_vector(f, d)
+    if cert.shelling.ok:
+        h = certified_h(ball, cert.shelling)
+        f = cxmod.f_from_h(h, d)
+    else:
+        f = cxmod.f_vector(ball)
+        h = cxmod.h_vector(f, d)
     boundary = cxmod.boundary_complex(ball)
     reasons: list[str] = []
     if not cert.shelling.ok:
@@ -259,7 +266,11 @@ def check_conjecture(
         L, U = closed_form_bounds(params)
         if not m_in_range:
             reasons.append(f"m out of range: need 2 <= {m} <= {(d + 1) // 2}")
-        inside_dims = {len(g) - 1 for g in cxmod.minimal_inside_faces(ball, boundary)}
+        if cert.ok:
+            inside = certified_inside_faces(ball, cert)
+        else:
+            inside = cxmod.minimal_inside_faces(ball, boundary)
+        inside_dims = {len(g) - 1 for g in inside}
         A1 = (d - m in inside_dims) and not any(dd < m - 1 for dd in inside_dims)
         if not A1:
             reasons.append("A1 fails: minimal inside-face dimensions " f"{sorted(inside_dims)}")

@@ -143,9 +143,15 @@ def cmd_check(args) -> int:
         meta_path = args.file + ".meta.json"
         if os.path.exists(meta_path):
             with open(meta_path, "r", encoding="utf-8") as fh:
-                recorded = json.load(fh).get("shelling_order")
-            if recorded is not None and sorted(recorded) == list(range(len(cx.facets))):
-                order = recorded
+                meta = json.load(fh)
+            if not isinstance(meta, dict):
+                raise UsageError(f"{meta_path}: sidecar is not a JSON object")
+            recorded = meta.get("shelling_order")
+            if recorded is not None:
+                if not isinstance(recorded, list) or any(type(k) is not int for k in recorded):
+                    raise UsageError(f"{meta_path}: shelling_order is not a list of integers")
+                if sorted(recorded) == list(range(len(cx.facets))):
+                    order = recorded
         name = f"file {args.file}"
         rep = bnd.check_conjecture(
             cx, order, field_char=args.field, max_vertices=args.max_vertices, instance=name

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -135,9 +136,6 @@ class SimplicialComplex:
 
     def is_face(self, mask: int) -> bool:
         return mask in self.faces_by_size().get(mask.bit_count(), ())
-
-    def face_count(self) -> int:
-        return sum(len(s) for s in self.faces_by_size().values())
 
     # -- dunder ----------------------------------------------------------
 
@@ -307,11 +305,13 @@ def smallest_nonface_size(cx: SimplicialComplex) -> int | None:
 
     Equals the first size at which the face count drops below the full
     binomial count over the used vertices; below it every subset is a face.
+    Only the k-faces of one size at a time are listed, from the facets, up
+    to that first size, so the face lattice is never built.
     """
-    levels = cx.faces_by_size()
+    bits = [[1 << v for v in iter_bits(f)] for f in cx.facets]
     u = cx.used_mask.bit_count()
     for k in range(1, u + 1):
-        if len(levels.get(k, ())) < comb(u, k):
+        if len({sum(c) for b in bits for c in combinations(b, k)}) < comb(u, k):
             return k
     return None
 

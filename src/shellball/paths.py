@@ -81,10 +81,6 @@ class MinorSpec:
     def facet_size(self) -> int:
         return self.r * (self.m + self.n + 1) - sum(self.rows) - sum(self.cols)
 
-    def endpoints(self, i: int) -> tuple[Point, Point]:
-        """Start and end point of path i (0-based index into the minor)."""
-        return (self.rows[i], self.n), (self.m, self.cols[i])
-
     def vertex_index(self, pt: Point) -> int:
         i, j = pt
         return (i - 1) * self.n + (j - 1)

@@ -9,13 +9,21 @@ certificate additionally demands, per step, that every glued ridge lies in
 exactly one earlier facet and that at least one ridge of the new facet is
 left unglued; gluing along all ridges would close the complex up to a
 sphere or worse.
+
+A passing certificate also determines the h-vector and the minimal inside
+faces, so neither needs the face lattice.  The glued ridges of step i are
+the F_i - v for v in R_i, so |R_i| is their number and h_k counts the steps
+with k of them (Stanley, CCA III.2; the first facet has R_0 empty).  The
+interior faces of a shelled ball split into the intervals [F_i - R_i, F_i],
+and F_i - R_i is the intersection of the glued ridges, so the minimal inside
+faces are the minimal sets among those intersections and the first facet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex, _canonical_key, vertices_of
 
 
 @dataclass
@@ -160,3 +168,31 @@ def verify_ball(cx: SimplicialComplex, order) -> BallCertificate:
                 reason="all ridges glued: closes to a sphere or worse",
             )
     return BallCertificate(shell, ok=True)
+
+
+def certified_h(cx: SimplicialComplex, shell: ShellingCertificate) -> tuple[int, ...]:
+    """h-vector of a shelled complex: h_k counts the facets with |R_i| = k."""
+    if not shell.ok:
+        raise ValueError("h-vector needs a passing shelling certificate")
+    h = [1] + [0] * (cx.dim + 1)
+    for step in shell.steps:
+        h[len(step.glued)] += 1
+    return tuple(h)
+
+
+def certified_inside_faces(cx: SimplicialComplex, cert: BallCertificate) -> list[tuple[int, ...]]:
+    """Minimal inside faces of a certified ball: the minimal sets F_i - R_i."""
+    if not cert.ok:
+        raise ValueError("inside faces need a passing ball certificate")
+    shell = cert.shelling
+    bottoms = {cx.facets[shell.order[0]]}
+    for step in shell.steps:
+        core = cx.facets[step.facet_index]
+        for g in step.glued:
+            core &= g.ridge
+        bottoms.add(core)
+    out: list[int] = []
+    for m in sorted(bottoms, key=_canonical_key):
+        if not any(g & ~m == 0 for g in out):
+            out.append(m)
+    return [vertices_of(m) for m in out]

@@ -14,11 +14,11 @@ from shellball.bounds import (
     linear_ball_boundary_h,
     lower_bound_estimate,
 )
-from shellball.complexes import build_complex
+from shellball.complexes import SimplicialComplex, build_complex
 from shellball.homology import BettiTable, hochster_betti_table
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
-from tests.test_complexes import SPHERE23
+from tests.test_complexes import MINOR23, SPHERE23
 
 
 def test_closed_form_bounds_2x3():
@@ -145,6 +145,41 @@ def test_check_conjecture_sphere_no_boundary():
     rep = check_conjecture(sphere, list(range(8)))
     assert rep.verdict == "INAPPLICABLE"
     assert "no boundary" in rep.reasons[-1]
+
+
+def spy_lattices(monkeypatch) -> list:
+    """Record every complex whose face lattice is asked for."""
+    asked = []
+    original = SimplicialComplex.faces_by_size
+
+    def faces_by_size(cx):
+        asked.append(cx)
+        return original(cx)
+
+    monkeypatch.setattr(SimplicialComplex, "faces_by_size", faces_by_size)
+    return asked
+
+
+@pytest.mark.parametrize("instance", [("minor", 3, 4, 2), ("polar", 3, 3)])
+def test_certified_ball_never_builds_its_face_lattice(monkeypatch, instance):
+    if instance[0] == "minor":
+        cx, order = path_complex(MinorSpec.diagonal(*instance[1:]))
+    else:
+        cx, order = power_ideal_complex(*instance[1:])
+    asked = spy_lattices(monkeypatch)
+    rep = check_conjecture(cx, order)
+    assert rep.ball_pass and rep.verdict == "PASS"
+    assert asked and not any(c is cx for c in asked)
+
+
+def test_failed_shelling_falls_back_to_the_lattice(monkeypatch):
+    cx = build_complex(MINOR23, 6)
+    asked = spy_lattices(monkeypatch)
+    rep = check_conjecture(cx, [0, 2, 1])
+    assert not rep.shelling_pass and rep.certificate.shelling.failed_step == 1
+    assert any(c is cx for c in asked)
+    assert (rep.f, rep.h, rep.A1) == ((6, 12, 10, 3), (1, 2, 0, 0, 0), True)
+    assert rep.verdict == "INAPPLICABLE"
 
 
 def test_check_not_pure():

@@ -88,6 +88,22 @@ def test_generate_then_check_roundtrip_uses_sidecar_order(tmp_path, capsys):
     assert rep["verdict"] == "PASS" and rep["ball_pass"]
 
 
+@pytest.mark.parametrize(
+    "sidecar, complaint",
+    [
+        ([0, 1, 2], "not a JSON object"),
+        ({"shelling_order": [0, "a", 2]}, "not a list of integers"),
+    ],
+)
+def test_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar, complaint):
+    path = tmp_path / "ball.cx"
+    write_complex_file(build_complex(MINOR23, 6), path)
+    (tmp_path / "ball.cx.meta.json").write_text(json.dumps(sidecar))
+    code, stdout, err = run(capsys, "check", "--file", str(path))
+    assert code == 2 and not stdout
+    assert err.startswith("error: ") and complaint in err
+
+
 def test_check_csv(capsys):
     code, stdout, _ = run(capsys, "check", "minor", "m=2", "n=3", "r=1", "--format", "csv")
     assert code == 0

@@ -33,7 +33,7 @@ from shellball.paths import (
     shelling_order,
     sr_generators,
 )
-from shellball.shelling import verify_ball, verify_shelling
+from shellball.shelling import certified_h, certified_inside_faces, verify_ball, verify_shelling
 
 FIGURE_CORNERS = {(2, 2), (3, 4), (4, 3), (4, 6), (5, 5), (6, 4)}
 
@@ -262,6 +262,37 @@ def test_canonical_generators_match_inside_faces(m, n, r):
         for face, _ in canonical_generators(fams)
     )
     assert gens == sorted(tuple(g) for g in minimal_inside_faces(cx))
+
+
+@pytest.mark.parametrize("seed", [None, 5, 17])
+@pytest.mark.parametrize("m,n,r", SMALL_SPECS + [(2, 5, 1), (4, 6, 1)])
+def test_certificate_restriction_faces_are_corner_sets(m, n, r, seed):
+    # criterion 9c step by step: the vertices whose removal lands in an
+    # earlier facet are exactly the corners, so the certificate readers
+    # agree with the corner-count h-vector and the canonical generators
+    spec = MinorSpec.diagonal(m, n, r)
+    fams = enumerate_facets(spec)
+    cx, order = path_complex(spec, fams)
+    if seed is not None:
+        pos = {mask: k for k, mask in enumerate(cx.facets)}
+        (ordered,) = random_shelling_orders(fams, 1, seed=seed)
+        order = [pos[fam.mask] for fam in ordered]
+    by_mask = {fam.mask: fam for fam in fams}
+    cert = verify_ball(cx, order)
+    assert cert.ok
+    restrictions = [0]
+    for step in cert.shelling.steps:
+        fi = cx.facets[step.facet_index]
+        restrictions.append(sum(fi ^ g.ridge for g in step.glued))
+    for k, rest in zip(order, restrictions):
+        fam = by_mask[cx.facets[k]]
+        assert rest == sum(1 << spec.vertex_index(p) for p in fam.corners)
+    assert certified_h(cx, cert.shelling) == h_via_corners(fams)
+    gens = sorted(
+        tuple(sorted(spec.vertex_index(p) for p in face))
+        for face, _ in canonical_generators(fams)
+    )
+    assert sorted(certified_inside_faces(cx, cert)) == gens
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Randomized invariants over generated complexes (all seeded via hypothesis)."""
 
+from math import comb
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shellball.bounds import check_conjecture
@@ -15,12 +17,14 @@ from shellball.complexes import (
     h_vector,
     minimal_inside_faces,
     multiplicity,
+    smallest_nonface_size,
     vector_profile,
     vertices_of,
 )
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
 from shellball.polarization import power_ideal_complex
-from shellball.shelling import verify_ball, verify_shelling
+from shellball.shelling import certified_h, certified_inside_faces, verify_ball, verify_shelling
+from tests.test_complexes import SPHERE23
 
 
 @st.composite
@@ -135,7 +139,7 @@ def bruteforce_inside_faces(cx):
 
 
 @st.composite
-def shelled_balls(draw, max_n=9):
+def shelled_ball_orders(draw, max_n=9):
     # grow a ball one facet at a time: cone a boundary ridge to any vertex
     # and keep the new facet only if the ball certificate still passes
     size = draw(st.integers(min_value=2, max_value=4))
@@ -152,7 +156,12 @@ def shelled_balls(draw, max_n=9):
         grown = SimplicialComplex(n, facets + [new])
         if verify_ball(grown, [grown.facets.index(f) for f in facets + [new]]).ok:
             facets.append(new)
-    return SimplicialComplex(n, facets)
+    cx = SimplicialComplex(n, facets)
+    return cx, [cx.facets.index(f) for f in facets]
+
+
+def shelled_balls(max_n=9):
+    return shelled_ball_orders(max_n).map(lambda case: case[0])
 
 
 @given(shelled_balls())
@@ -170,3 +179,65 @@ def test_minimal_inside_faces_bruteforce_oracle_on_small_instances(instance):
     else:
         cx, _ = power_ideal_complex(*instance[1:])
     assert sorted(minimal_inside_faces(cx)) == bruteforce_inside_faces(cx)
+
+
+def lattice_smallest_nonface_size(cx):
+    """Oracle: the first size whose face count in the full face lattice
+    drops below the binomial count over the used vertices."""
+    levels = cx.faces_by_size()
+    u = cx.used_mask.bit_count()
+    for k in range(1, u + 1):
+        if len(levels.get(k, ())) < comb(u, k):
+            return k
+    return None
+
+
+@given(complexes())
+@example(build_complex([{0, 1, 2}], 3))
+@example(build_complex([{0, 1, 2}], 5))
+@example(build_complex([{0, 1}, {1, 2}, {4}], 6))
+@example(build_complex([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}], 4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_smallest_nonface_size_matches_lattice_oracle(cx):
+    assert smallest_nonface_size(cx) == lattice_smallest_nonface_size(cx)
+
+
+@st.composite
+def minor_orders(draw):
+    # the deterministic linear extension or a seeded random one
+    spec = MinorSpec.diagonal(*draw(st.sampled_from(MINOR_INSTANCES)))
+    fams = enumerate_facets(spec)
+    cx, order = path_complex(spec, fams)
+    seed = draw(st.none() | st.integers(min_value=0, max_value=2**31 - 1))
+    if seed is not None:
+        pos = {mask: k for k, mask in enumerate(cx.facets)}
+        (ordered,) = random_shelling_orders(fams, 1, seed=seed)
+        order = [pos[f.mask] for f in ordered]
+    return cx, order
+
+
+certified_balls = st.one_of(
+    shelled_ball_orders(),
+    minor_orders(),
+    st.sampled_from(POLAR_INSTANCES).map(lambda p: power_ideal_complex(*p)),
+)
+
+
+@given(st.one_of(certified_balls, st.just((build_complex(SPHERE23, 6), list(range(8))))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_certified_h_matches_lattice(case):
+    cx, order = case
+    shell = verify_shelling(cx, order)
+    assert shell.ok
+    assert certified_h(cx, shell) == h_vector(f_vector(cx), cx.dim + 1)
+
+
+@given(certified_balls)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_certified_inside_faces_match_lattice(case):
+    cx, order = case
+    cert = verify_ball(cx, order)
+    assert cert.ok
+    inside = certified_inside_faces(cx, cert)
+    assert inside == minimal_inside_faces(cx)
+    assert sorted(inside) == bruteforce_inside_faces(cx)

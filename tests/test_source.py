@@ -1,0 +1,17 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import shellball
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so checks must raise instead
+    found = []
+    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert not found, f"assert statements in the library: {found}"
