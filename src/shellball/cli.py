@@ -150,20 +150,20 @@ def cmd_check(args) -> int:
             if recorded is not None:
                 if not isinstance(recorded, list) or any(type(k) is not int for k in recorded):
                     raise UsageError(f"{meta_path}: shelling_order is not a list of integers")
-                if sorted(recorded) == list(range(len(cx.facets))):
-                    order = recorded
+                if sorted(recorded) != list(range(len(cx.facets))):
+                    raise UsageError(
+                        f"{meta_path}: shelling_order is not a permutation of the facets"
+                    )
+                order = recorded
         name = f"file {args.file}"
-        rep = bnd.check_conjecture(
-            cx, order, field_char=args.field, max_vertices=args.max_vertices, instance=name
-        )
     else:
         if not args.kind:
             raise UsageError("check needs a kind (minor|polar) or --file")
         kv = _params(args.params)
         cx, order, name = _build_instance(args.kind, kv, args.max_facets)
-        rep = bnd.check_conjecture(
-            cx, order, field_char=args.field, max_vertices=args.max_vertices, instance=name
-        )
+    rep = bnd.check_conjecture(
+        cx, order, field_char=args.field, max_vertices=args.max_vertices, instance=name
+    )
     if args.format == "json":
         payload = rep.to_json_dict()
         payload["seed"] = args.seed

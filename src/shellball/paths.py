@@ -5,16 +5,19 @@ matrix has vertex set the grid points (i,j) and facets the families of r
 pairwise disjoint monotone paths, path i running from (a_i, n) to (m, b_i)
 by unit steps that increase the row or decrease the column.
 
+Facets are ordered entrywise by row profile (per path and row, the path's
+smallest column there); the linear extensions of that order are shellings.
+
 A *corner* of a path is a point whose upper and left neighbours both lie on
-the same path.  Corners drive everything here: the facet partial order and
-its shelling extensions, the flip move that grows a path's corner set, the
-non-flippable facets whose point sets minus corners are the minimal inside
-faces, the corner-count h-vector, and the prefix boundary test.
+the same path.  Corners drive the flip move that grows a path's corner set,
+the non-flippable facets whose point sets minus corners are the minimal
+inside faces, the corner-count h-vector, and the prefix boundary test.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -121,6 +124,23 @@ class PathFamily:
         return len(self.corners)
 
     @cached_property
+    def profile(self) -> tuple[int, ...]:
+        """Per path i and row x it crosses, in order, path i's smallest column in row x.
+
+        A path only moves down or left, so its leftmost point in row x is its
+        leftmost point in all rows <= x: f1 <= f2 iff f1.profile <= f2.profile
+        entry by entry.  Row x of a path runs from the entry of row x-1 (or n)
+        to the entry of row x, so distinct facets have distinct profiles.
+        """
+        out: list[int] = []
+        for path in self.paths:
+            low: dict[int, int] = {}
+            for x, y in path:
+                low[x] = min(y, low.get(x, y))
+            out.extend(low[x] for x in sorted(low))
+        return tuple(out)
+
+    @cached_property
     def index_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.spec.vertex_index(p) for p in self.points))
 
@@ -194,15 +214,19 @@ def _is_valid_path(path: tuple[Point, ...]) -> bool:
     return True
 
 
+def _flip_sites(path: tuple[Point, ...]) -> list[Point]:
+    """Points v with v, v+(1,0), v+(0,1) on the path and neither neighbour a corner."""
+    free = set(path) - path_corners(path)
+    return [v for v in path if (v[0] + 1, v[1]) in free and (v[0], v[1] + 1) in free]
+
+
 def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
-    """Replace v by v+(1,1); legal when v, v+(1,0), v+(0,1) lie on the path
-    and neither neighbour is a corner.  The corner set strictly grows."""
-    pts = set(path)
-    down, right = (v[0] + 1, v[1]), (v[0], v[1] + 1)
-    crn = path_corners(path)
-    if v not in pts or down not in pts or right not in pts or down in crn or right in crn:
+    """Replace v by v+(1,1); legal at a flip site (v, v+(1,0), v+(0,1) lie on
+    the path and neither neighbour is a corner).  The corner set strictly grows."""
+    if v not in _flip_sites(path):
         raise ValueError(f"not flippable at {v}")
-    new = _sorted_path(pts - {v} | {(v[0] + 1, v[1] + 1)})
+    crn = path_corners(path)
+    new = _sorted_path(set(path) - {v} | {(v[0] + 1, v[1] + 1)})
     if not _is_valid_path(new):
         raise ArithmeticError(f"flip at {v} leaves a broken path")
     if not crn < path_corners(new):
@@ -211,13 +235,7 @@ def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
 
 
 def path_is_non_flippable(path: tuple[Point, ...]) -> bool:
-    pts = set(path)
-    crn = path_corners(path)
-    for v in path:
-        down, right = (v[0] + 1, v[1]), (v[0], v[1] + 1)
-        if down in pts and right in pts and down not in crn and right not in crn:
-            return False
-    return True
+    return not _flip_sites(path)
 
 
 def is_non_flippable(family: PathFamily) -> bool:
@@ -226,17 +244,11 @@ def is_non_flippable(family: PathFamily) -> bool:
 
 
 def admits_family_flip(family: PathFamily) -> bool:
-    """Some path admits a flip whose new point misses the sibling paths."""
-    allpts = family.points
-    for path in family.paths:
-        pts = set(path)
-        crn = path_corners(path)
-        for v in path:
-            down, right = (v[0] + 1, v[1]), (v[0], v[1] + 1)
-            if down in pts and right in pts and down not in crn and right not in crn:
-                if (v[0] + 1, v[1] + 1) not in allpts - pts:
-                    return True
-    return False
+    """Some path admits a flip whose new point misses the sibling paths (it is
+    never on its own path, which runs v+(0,1), v, v+(1,0))."""
+    return any(
+        (x + 1, y + 1) not in family.points for path in family.paths for (x, y) in _flip_sites(path)
+    )
 
 
 def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
@@ -263,53 +275,42 @@ def nonflippable_discrepancies(facets: list[PathFamily]) -> list[PathFamily]:
 
 
 def facet_leq(f1: PathFamily, f2: PathFamily) -> bool:
-    """f1 <= f2 iff every point of f2's path i is weakly below-right of f1's path i."""
+    """f1 <= f2 iff every point of f2's path i is weakly below-right of some
+    point of f1's path i: the entrywise order on row profiles."""
     if f1.spec != f2.spec:
         raise ValueError("mismatched specs")
-    for c, d in zip(f1.paths, f2.paths):
-        for (x, y) in d:
-            if not any(u <= x and v <= y for (u, v) in c):
-                return False
-    return True
+    return all(a <= b for a, b in zip(f1.profile, f2.profile))
 
 
-def _less_matrix(facets: list[PathFamily]) -> list[list[bool]]:
-    t = len(facets)
-    less = [[False] * t for _ in range(t)]
-    for i in range(t):
-        for j in range(t):
-            if i != j and facet_leq(facets[i], facets[j]):
-                less[i][j] = True
-    for i in range(t):
-        for j in range(i + 1, t):
-            if less[i][j] and less[j][i]:
-                raise ValueError("facet order inconsistency: antisymmetry violated")
-    return less
+def _successors(facets: list[PathFamily]) -> list[list[int]]:
+    """For each facet, the increasing indices of the other facets above it."""
+    return [
+        [k for k, g in enumerate(facets) if k != j and facet_leq(f, g)]
+        for j, f in enumerate(facets)
+    ]
 
 
-def _extension(less: list[list[bool]], pick) -> list[int]:
-    t = len(less)
-    indeg = [sum(less[i][j] for i in range(t)) for j in range(t)]
-    ready = sorted(j for j in range(t) if indeg[j] == 0)
+def _extension(succ: list[list[int]], pick) -> list[int]:
+    indeg = Counter(k for ks in succ for k in ks)
+    ready = [j for j in range(len(succ)) if indeg[j] == 0]
     order: list[int] = []
     while ready:
         j = pick(ready)
         ready.remove(j)
         order.append(j)
-        for k in range(t):
-            if less[j][k]:
-                indeg[k] -= 1
-                if indeg[k] == 0:
-                    ready.append(k)
+        for k in succ[j]:
+            indeg[k] -= 1
+            if indeg[k] == 0:
+                ready.append(k)
         ready.sort()
-    if len(order) != t:
+    if len(order) != len(succ):
         raise ValueError("facet order inconsistency: cycle detected")
     return order
 
 
 def shelling_order(facets: list[PathFamily]) -> list[PathFamily]:
     """Deterministic linear extension of the facet order (lexicographic tie-break)."""
-    order = _extension(_less_matrix(facets), lambda ready: ready[0])
+    order = _extension(_successors(facets), lambda ready: ready[0])
     return [facets[i] for i in order]
 
 
@@ -318,9 +319,9 @@ def random_shelling_orders(
 ) -> list[list[PathFamily]]:
     """Seeded random linear extensions of the facet order."""
     rng = random.Random(seed)
-    less = _less_matrix(facets)
+    succ = _successors(facets)
     return [
-        [facets[i] for i in _extension(less, rng.choice)] for _ in range(count)
+        [facets[i] for i in _extension(succ, rng.choice)] for _ in range(count)
     ]
 
 

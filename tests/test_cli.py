@@ -93,6 +93,8 @@ def test_generate_then_check_roundtrip_uses_sidecar_order(tmp_path, capsys):
     [
         ([0, 1, 2], "not a JSON object"),
         ({"shelling_order": [0, "a", 2]}, "not a list of integers"),
+        ({"shelling_order": [0, 1]}, "shelling_order is not a permutation of the facets"),
+        ({"shelling_order": [0, 0, 1]}, "shelling_order is not a permutation of the facets"),
     ],
 )
 def test_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar, complaint):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,7 @@ from shellball.complexes import (
 )
 from shellball.paths import (
     MinorSpec,
+    PathFamily,
     admits_family_flip,
     boundary_via_corners,
     canonical_generators,
@@ -241,6 +243,94 @@ def test_random_extensions_pass():
     for ordered in random_shelling_orders(fams, 10, seed=11):
         order = [pos[f.mask] for f in ordered]
         assert verify_shelling(cx, order).ok
+
+
+# Oracle for the facet order: point-pair dominance, a dense `less` matrix
+# with an antisymmetry sweep, and the topological sort over its rows.
+
+
+def pointwise_facet_leq(f1, f2):
+    for c, d in zip(f1.paths, f2.paths):
+        for (x, y) in d:
+            if not any(u <= x and v <= y for (u, v) in c):
+                return False
+    return True
+
+
+def less_matrix(facets):
+    t = len(facets)
+    less = [
+        [i != j and pointwise_facet_leq(facets[i], facets[j]) for j in range(t)] for i in range(t)
+    ]
+    for i in range(t):
+        for j in range(i + 1, t):
+            if less[i][j] and less[j][i]:
+                raise ValueError("facet order inconsistency: antisymmetry violated")
+    return less
+
+
+def matrix_extension(less, pick):
+    t = len(less)
+    indeg = [sum(less[i][j] for i in range(t)) for j in range(t)]
+    ready = sorted(j for j in range(t) if indeg[j] == 0)
+    order = []
+    while ready:
+        j = pick(ready)
+        ready.remove(j)
+        order.append(j)
+        for k in range(t):
+            if less[j][k]:
+                indeg[k] -= 1
+                if indeg[k] == 0:
+                    ready.append(k)
+        ready.sort()
+    if len(order) != t:
+        raise ValueError("facet order inconsistency: cycle detected")
+    return order
+
+
+ORDER_SPECS = [f"m={m} n={n} r={r}" for m, n, r in SMALL_SPECS] + [
+    "m=3 n=5 sigma=2|3",
+    "m=4 n=5 sigma=1,2|2,4",
+    "m=4 n=5 sigma=2,3|1,4",
+    "m=4 n=4 sigma=1,2,4|1,3,4",
+]
+
+
+@pytest.mark.parametrize("text", ORDER_SPECS)
+def test_facet_leq_matches_pointwise_oracle(text):
+    fams = enumerate_facets(MinorSpec.parse(text))
+    for a in fams:
+        for b in fams:
+            assert facet_leq(a, b) == pointwise_facet_leq(a, b)
+
+
+@pytest.mark.parametrize("text", ORDER_SPECS)
+def test_distinct_facets_have_distinct_profiles(text):
+    spec = MinorSpec.parse(text)
+    fams = enumerate_facets(spec)
+    assert len({fam.profile for fam in fams}) == len(fams)
+    for fam in fams:
+        # the profile takes row minima, so it ignores how a path stores its points
+        shuffled = PathFamily(spec, tuple(tuple(reversed(path)) for path in fam.paths))
+        assert shuffled.profile == fam.profile
+
+
+@pytest.mark.parametrize("text", ORDER_SPECS + ["m=5 n=7 r=1"])
+def test_orders_match_matrix_oracle(text):
+    fams = enumerate_facets(MinorSpec.parse(text))
+    less = less_matrix(fams)
+    assert shelling_order(fams) == [fams[i] for i in matrix_extension(less, lambda ready: ready[0])]
+    for seed in (0, 1, 7):
+        rng = random.Random(seed)
+        expected = [[fams[i] for i in matrix_extension(less, rng.choice)] for _ in range(3)]
+        assert random_shelling_orders(fams, 3, seed) == expected
+
+
+def test_repeated_facet_is_a_cycle():
+    fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
+    with pytest.raises(ValueError, match="cycle detected"):
+        shelling_order(fams + fams[:1])
 
 
 def test_canonical_generators_minor23():
