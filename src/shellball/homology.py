@@ -4,8 +4,10 @@ Betti numbers of a Stanley-Reisner quotient come from Hochster's formula:
 beta_{i,j} for i >= 1 is the sum over vertex subsets W of size j of the
 reduced homology rank of the induced subcomplex in dimension j-i-1, and
 beta_{0,0} = 1.  Homology ranks come from exact boundary-matrix ranks
-(fraction-free over Q, elimination over GF(p)); connectivity in degree one
-is handled by union-find instead of a matrix.
+(fraction-free over Q, elimination over GF(p)) in every degree.  A face of
+an induced subcomplex has its whole boundary there, so each face's boundary
+column is built once per table, over fixed row indices, and every induced
+subcomplex ranks the subset of those columns that it holds.
 
 Only the unions of minimal nonfaces are summed (the support of the lcm
 lattice).  If some vertex x of W lies in no minimal nonface inside W, then
@@ -20,8 +22,10 @@ the default cap of 16 used vertices applies to full tables only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 from operator import or_
 
 from .complexes import SimplicialComplex, iter_bits, minimal_nonface_masks
@@ -33,94 +37,75 @@ DEFAULT_VERTEX_CAP = 16
 def check_field(char: int) -> int:
     if char == 0:
         return 0
-    if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):
+    if char < 2 or any(char % q == 0 for q in range(2, isqrt(char) + 1)):
         raise ValueError(f"field characteristic must be 0 or prime, got {char}")
     return char
 
 
-def _boundary_rank(lower: list[int], upper: list[int], char: int) -> int:
-    """Rank of the boundary map from faces `upper` to faces `lower`."""
-    if not lower or not upper:
-        return 0
-    index = {m: i for i, m in enumerate(lower)}
-    if char == 2:
-        cols = []
-        for f in upper:
-            c = 0
-            for v in iter_bits(f):
-                c |= 1 << index[f ^ (1 << v)]
-            cols.append(c)
-        return rank_gf2_columns(cols)
-    cols_d = []
-    for f in upper:
-        col = {}
-        sign = 1
-        for v in iter_bits(f):
-            col[index[f ^ (1 << v)]] = sign
-            sign = -sign
-        cols_d.append(col)
-    if char == 0:
-        return rank_int_columns(cols_d)
-    return rank_modp_columns(cols_d, char)
+def _columns(faces: list[int], char: int) -> dict[int, int | dict[int, int]]:
+    """Boundary column of every face in `faces` (a closed, sorted face list).
 
-
-def _component_count(vertex_masks: list[int], edge_masks: list[int]) -> int:
-    parent = {m: m for m in vertex_masks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_masks:
-        b = e & -e
-        u, v = b, e ^ b
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(m) for m in vertex_masks})
-
-
-def _reduced_ranks(levels: dict[int, list[int]], char: int) -> dict[int, int]:
-    """Reduced homology ranks by dimension for faces grouped by cardinality.
-
-    `levels` maps size >= 1 to the masks of that size; the empty face is
-    implicit.  An empty `levels` is the complex {emptyset} with one unit of
-    homology in dimension -1.
+    A face's row is its position among the faces of its own size, so the
+    rows stay fixed for every subcomplex ranked later.  Over GF(2) a column
+    is a bit mask; otherwise it is {row: +-1}, the sign alternating in
+    increasing vertex order.
     """
-    if not levels:
-        return {-1: 1}
-    top = max(levels)
-    f = {k: len(levels.get(k + 1, ())) for k in range(-1, top)}
-    f[-1] = 1
-    bnd = {0: 1 if f[0] else 0}
-    verts = levels.get(1, [])
-    edges = levels.get(2, [])
-    bnd[1] = f[0] - _component_count(verts, edges) if verts else 0
-    for k in range(2, top):
-        bnd[k] = _boundary_rank(levels.get(k, []), levels.get(k + 1, []), char)
-    bnd[top] = 0
-    out = {}
-    for k in range(-1, top):
-        out[k] = f[k] - bnd.get(k, 0) - bnd.get(k + 1, 0)
-    return out
+    row: dict[int, int] = {}
+    seen: Counter[int] = Counter()
+    for m in faces:
+        s = m.bit_count()
+        row[m] = seen[s]
+        seen[s] += 1
+    cols: dict[int, int | dict[int, int]] = {}
+    for m in faces:
+        rows = [row[m ^ (1 << v)] for v in iter_bits(m)]
+        if char == 2:
+            cols[m] = sum(1 << r for r in rows)
+        else:
+            cols[m] = {r: (-1) ** i for i, r in enumerate(rows)}
+    return cols
+
+
+def _rank(columns: list, char: int) -> int:
+    if char == 2:
+        return rank_gf2_columns(columns)
+    if char == 0:
+        return rank_int_columns(columns)
+    return rank_modp_columns(columns, char)
+
+
+def _reduced_ranks(faces: list[int], cols: dict, char: int) -> dict[int, int]:
+    """Reduced homology ranks in dimensions -1..dim of the complex `faces`.
+
+    `faces` is closed under taking subsets and `cols` holds their columns
+    (see `_columns`); in dimension k the rank is f_k - rank d_k - rank
+    d_{k+1}, where d_k maps the faces of size k+1 to those of size k.
+    """
+    groups: dict[int, list] = {}
+    for m in faces:
+        groups.setdefault(m.bit_count(), []).append(cols[m])
+    rank = {s: _rank(group, char) for s, group in groups.items()}
+    return {
+        k: len(groups.get(k + 1, ())) - rank.get(k + 1, 0) - rank.get(k + 2, 0)
+        for k in range(-1, max(groups, default=0))
+    }
+
+
+def _sorted_faces(cx: SimplicialComplex) -> list[int]:
+    return sorted(m for masks in cx.faces_by_size().values() for m in masks)
 
 
 def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, int]:
     """Ranks of reduced homology in dimensions -1..dim.
 
-    The empty complex (only the empty face) has rank 1 in dimension -1;
-    nonzero entries only are not guaranteed, every dimension in range is
-    reported.
+    Every dimension in range is reported, zeros included.  The complex whose
+    only face is the empty face has rank 1 in dimension -1; the void complex
+    (no faces at all, e.g. the boundary of a sphere) has none, so it gives
+    {-1: 0}.
     """
     char = check_field(field)
-    if not cx.facets or cx.facets == (0,):
-        return {-1: 1}
-    levels = {
-        s: sorted(masks) for s, masks in cx.faces_by_size().items() if s >= 1
-    }
-    return _reduced_ranks(levels, char)
+    faces = _sorted_faces(cx)
+    return _reduced_ranks(faces, _columns(faces, char), char)
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +151,13 @@ def _hochster_entries(cx: SimplicialComplex, char: int) -> dict[tuple[int, int],
     holds only cones (see the module docstring) and is cut.
     """
     used = cx.used_vertices
-    faces = sorted(m for s, masks in cx.faces_by_size().items() if s for m in masks)
+    faces = _sorted_faces(cx)
+    cols = _columns(faces, char)
     nonfaces = minimal_nonface_masks(cx)
     entries: dict[tuple[int, int], int] = {}
 
     def process(w_size: int, faces: list[int]) -> None:
-        grouped: dict[int, list[int]] = {}
-        for m in faces:
-            grouped.setdefault(m.bit_count(), []).append(m)
-        for dim, rank in _reduced_ranks(grouped, char).items():
+        for dim, rank in _reduced_ranks(faces, cols, char).items():
             if rank:
                 key = (w_size - 1 - dim, w_size)
                 entries[key] = entries.get(key, 0) + rank

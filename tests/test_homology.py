@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from shellball import homology
-from shellball.complexes import boundary_complex, build_complex, minimal_nonfaces
+from shellball.complexes import boundary_complex, build_complex, iter_bits, minimal_nonfaces
+from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
 from shellball.homology import (
     BettiTable,
     _betti_from_entries,
@@ -51,6 +52,52 @@ def test_reduced_homology_sphere23():
 def test_reduced_homology_contractible_and_empty():
     assert all(r == 0 for r in reduced_homology_ranks(build_complex([{0, 1, 2}], 3)).values())
     assert reduced_homology_ranks(build_complex([[]], 1)) == {-1: 1}
+
+
+def test_reduced_homology_void_complex():
+    # a sphere's boundary has no faces at all, not even the empty one
+    void = boundary_complex(build_complex(SPHERE23, 6))
+    assert void.facets == ()
+    assert reduced_homology_ranks(void) == {-1: 0}
+    assert reduced_homology_ranks(void, field=2) == {-1: 0}
+
+
+# 6-vertex real projective plane: H_1(RP^2; Z) = Z/2, so GF(2) sees a class
+# in degrees 1 and 2 that Q and GF(3) do not
+RP2 = [tuple(map(int, f)) for f in "012 023 034 045 015 124 235 134 135 245".split()]
+
+
+def test_torsion_depends_on_field():
+    cx = build_complex(RP2, 6)
+    for field in (0, 3):
+        assert set(reduced_homology_ranks(cx, field).values()) == {0}, field
+    gf2 = reduced_homology_ranks(cx, field=2)
+    assert {k: r for k, r in gf2.items() if r} == {1: 1, 2: 1}
+    t0, t2 = hochster_betti_table(cx, field=0), hochster_betti_table(cx, field=2)
+    extra = {k: b for k, b in t2.entries.items() if t0.beta(*k) != b}
+    assert extra == {(3, 6): 1, (4, 6): 1}
+    assert all(t2.beta(*k) == b for k, b in t0.entries.items())
+    assert t0.entries == unpruned_betti_table(cx, 0).entries
+    assert t2.entries == unpruned_betti_table(cx, 2).entries
+
+
+def moore_space_mod3():
+    """A disk whose boundary 9-gon runs three times around the triangle 012:
+    H_1 = Z/3, seen only over GF(3).  Inner ring 3..11, centre 12."""
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [(i % 3, j % 3, 3 + i), (j % 3, 3 + i, 3 + j), (12, 3 + i, 3 + j)]
+    return build_complex(facets, 13)
+
+
+def test_three_torsion_needs_gf3():
+    cx = moore_space_mod3()
+    for field in (0, 2, 5):
+        assert set(reduced_homology_ranks(cx, field).values()) == {0}, field
+    gf3 = reduced_homology_ranks(cx, field=3)
+    assert {k: r for k, r in gf3.items() if r} == {1: 1, 2: 1}
+    assert gf3 == leafwise_homology(cx, 3)
 
 
 def test_hochster_square():
@@ -181,6 +228,89 @@ def test_betti_json():
     assert js == {"p": 2, "entries": [[0, 0, 1], [1, 2, 2], [2, 4, 1]]}
 
 
+# Oracle for the homology ranks: each complex's boundary matrices are built
+# from its own faces with local row indices, components come from a
+# union-find, and the dimensions -1, 0 and top are cased separately.  It
+# shares nothing with the library's columns built once per face list.
+
+
+def boundary_rank(lower, upper, char):
+    """Rank of the boundary map from faces `upper` to faces `lower`."""
+    if not lower or not upper:
+        return 0
+    index = {m: i for i, m in enumerate(lower)}
+    if char == 2:
+        cols = []
+        for f in upper:
+            c = 0
+            for v in iter_bits(f):
+                c |= 1 << index[f ^ (1 << v)]
+            cols.append(c)
+        return rank_gf2_columns(cols)
+    cols_d = []
+    for f in upper:
+        col = {}
+        sign = 1
+        for v in iter_bits(f):
+            col[index[f ^ (1 << v)]] = sign
+            sign = -sign
+        cols_d.append(col)
+    if char == 0:
+        return rank_int_columns(cols_d)
+    return rank_modp_columns(cols_d, char)
+
+
+def component_count(vertex_masks, edge_masks):
+    parent = {m: m for m in vertex_masks}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edge_masks:
+        b = e & -e
+        ru, rv = find(b), find(e ^ b)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(m) for m in vertex_masks})
+
+
+def leafwise_reduced_ranks(levels, char):
+    """Reduced homology ranks by dimension for faces grouped by cardinality.
+
+    `levels` maps size >= 1 to the sorted masks of that size; the empty face
+    is implicit, so an empty `levels` is the complex {emptyset}.
+    """
+    if not levels:
+        return {-1: 1}
+    top = max(levels)
+    f = {k: len(levels.get(k + 1, ())) for k in range(-1, top)}
+    f[-1] = 1
+    bnd = {0: 1 if f[0] else 0}
+    verts = levels.get(1, [])
+    bnd[1] = f[0] - component_count(verts, levels.get(2, [])) if verts else 0
+    for k in range(2, top):
+        bnd[k] = boundary_rank(levels.get(k, []), levels.get(k + 1, []), char)
+    bnd[top] = 0
+    return {k: f[k] - bnd.get(k, 0) - bnd.get(k + 1, 0) for k in range(-1, top)}
+
+
+def leafwise_levels(faces):
+    levels = {}
+    for m in sorted(faces):
+        if m:
+            levels.setdefault(m.bit_count(), []).append(m)
+    return levels
+
+
+def leafwise_homology(cx, field):
+    return leafwise_reduced_ranks(
+        leafwise_levels(m for masks in cx.faces_by_size().values() for m in masks), field
+    )
+
+
 def unpruned_betti_table(cx, field=0) -> BettiTable:
     """Oracle: Hochster's sum over every nonempty subset of the used vertices,
     by a binary walk that filters the face list once per excluded vertex."""
@@ -189,10 +319,7 @@ def unpruned_betti_table(cx, field=0) -> BettiTable:
     entries = {}
 
     def process(w_size, faces):
-        grouped = {}
-        for m in faces:
-            grouped.setdefault(m.bit_count(), []).append(m)
-        for dim, rank in _reduced_ranks(grouped, field).items():
+        for dim, rank in leafwise_reduced_ranks(leafwise_levels(faces), field).items():
             if rank:
                 key = (w_size - 1 - dim, w_size)
                 entries[key] = entries.get(key, 0) + rank
@@ -252,9 +379,9 @@ def test_pruned_table_matches_unpruned_walk_random(cx):
 def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     calls = []
 
-    def counting(levels, char):
-        calls.append(sum(len(masks) for masks in levels.values()))
-        return _reduced_ranks(levels, char)
+    def counting(faces, cols, char):
+        calls.append(len(faces))
+        return _reduced_ranks(faces, cols, char)
 
     monkeypatch.setattr(homology, "_reduced_ranks", counting)
     bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
@@ -262,3 +389,16 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     table = hochster_betti_table(bd, field=2)
     assert len(calls) == 29  # of 4095 nonempty subsets; the rest span cones
     assert table.entries == unpruned_betti_table(bd, 2).entries
+
+
+@pytest.mark.parametrize("name,cx", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])
+def test_reduced_homology_matches_leafwise_oracle(name, cx):
+    for field in (0, 2, 3):
+        assert reduced_homology_ranks(cx, field) == leafwise_homology(cx, field), field
+
+
+@given(pure_complexes(max_n=8))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_reduced_homology_matches_leafwise_oracle_random(cx):
+    for field in (0, 2, 3):
+        assert reduced_homology_ranks(cx, field) == leafwise_homology(cx, field), field
