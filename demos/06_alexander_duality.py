@@ -7,6 +7,7 @@ shifted diagonals.
 """
 
 import shellball as sb
+from shellball.complexes import vertices_of
 from shellball.duality import maximal_minor_diagonals
 
 m, n = 3, 4
@@ -27,5 +28,5 @@ cx, _ = sb.path_complex(sb.MinorSpec.diagonal(2, 3, 1))
 dual = sb.alexander_dual(cx)
 print("\n2x3 example: dual facets are complements of the diagonal pairs:")
 for f in dual.facets:
-    print(f"  {sorted(sb.complexes.vertices_of(f))}")
+    print(f"  {sorted(vertices_of(f))}")
 print(f"dual of the dual equals the original: {sb.alexander_dual(dual) == cx}")

@@ -183,18 +183,8 @@ class ConjectureReport:
         }
 
     def csv_row(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "d": self.d,
-            "m": self.m if self.m is not None else "",
-            "e": self.e if self.e is not None else "",
-            "L": _rat(self.L) if self.L is not None else "",
-            "U": _rat(self.U) if self.U is not None else "",
-            "A1": self.A1,
-            "A2": self.A2,
-            "verdict": self.verdict,
-        }
+        row = self.to_json_dict()
+        return {k: row[k] for k in CSV_FIELDS}
 
 
 CSV_FIELDS = ["instance", "n", "d", "m", "e", "L", "U", "A1", "A2", "verdict"]
@@ -236,53 +226,46 @@ def check_conjecture(
     elif not cert.ok:
         reasons.append(f"ball certification failed: {cert.reason}")
 
-    if not boundary.facets:
-        return ConjectureReport(
-            instance=instance, n=n, d=d, m=cxmod.smallest_nonface_size(ball), e=None, f=f, h=h,
-            boundary_h=None, L=None, U=None, L_betti=None, U_betti=None,
-            A1=None, A2=None, m_in_range=None, all_vertices_on_boundary=None,
-            shelling_pass=cert.shelling.ok, ball_pass=cert.ok, betti_table=None,
-            verdict="INAPPLICABLE", reasons=reasons + ["no boundary"], certificate=cert,
-        )
-
-    e = len(boundary.facets)
-    bh = cxmod.h_vector(cxmod.f_vector(boundary), d - 1)
-    if sum(bh) != e:
-        raise ArithmeticError(f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}")
-
-    on_boundary = boundary.used_mask == ball.used_mask
-    if not on_boundary:
-        reasons.append("interior vertex: not every vertex lies on the boundary")
-
     m = cxmod.smallest_nonface_size(ball)
-    A1 = A2 = None
-    m_in_range = None
-    L = U = None
-    if m is None:
-        reasons.append("m undefined (no nonfaces: full simplex)")
+    e = bh = on_boundary = A1 = A2 = m_in_range = L = U = None
+    table = L_betti = U_betti = None
+    if not boundary.facets:
+        reasons.append("no boundary")
     else:
-        params = BoundParams(n=n, d=d, m=m)
-        m_in_range = params.m_in_range
-        L, U = closed_form_bounds(params)
-        if not m_in_range:
-            reasons.append(f"m out of range: need 2 <= {m} <= {(d + 1) // 2}")
-        if cert.ok:
-            inside = certified_inside_faces(ball, cert)
-        else:
-            inside = cxmod.minimal_inside_faces(ball, boundary)
-        inside_dims = {len(g) - 1 for g in inside}
-        A1 = (d - m in inside_dims) and not any(dd < m - 1 for dd in inside_dims)
-        if not A1:
-            reasons.append("A1 fails: minimal inside-face dimensions " f"{sorted(inside_dims)}")
-        A2 = vector_profile(bh).unimodal
-        if not A2:
-            reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
+        e = len(boundary.facets)
+        bh = cxmod.h_vector(cxmod.f_vector(boundary), d - 1)
+        if sum(bh) != e:
+            raise ArithmeticError(
+                f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}"
+            )
 
-    table = None
-    L_betti = U_betti = None
-    if len(boundary.used_vertices) <= max_vertices:
-        table = hochster_betti_table(boundary, field=field_char, max_vertices=max_vertices)
-        L_betti, U_betti = betti_bounds(table)
+        on_boundary = boundary.used_mask == ball.used_mask
+        if not on_boundary:
+            reasons.append("interior vertex: not every vertex lies on the boundary")
+
+        if m is None:
+            reasons.append("m undefined (no nonfaces: full simplex)")
+        else:
+            params = BoundParams(n=n, d=d, m=m)
+            m_in_range = params.m_in_range
+            L, U = closed_form_bounds(params)
+            if not m_in_range:
+                reasons.append(f"m out of range: need 2 <= {m} <= {(d + 1) // 2}")
+            if cert.ok:
+                inside = certified_inside_faces(ball, cert)
+            else:
+                inside = cxmod.minimal_inside_faces(ball, boundary)
+            inside_dims = {len(g) - 1 for g in inside}
+            A1 = (d - m in inside_dims) and not any(dd < m - 1 for dd in inside_dims)
+            if not A1:
+                reasons.append(f"A1 fails: minimal inside-face dimensions {sorted(inside_dims)}")
+            A2 = vector_profile(bh).unimodal
+            if not A2:
+                reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
+
+        if len(boundary.used_vertices) <= max_vertices:
+            table = hochster_betti_table(boundary, field=field_char, max_vertices=max_vertices)
+            L_betti, U_betti = betti_bounds(table)
 
     if reasons:
         verdict = "INAPPLICABLE"
@@ -295,4 +278,3 @@ def check_conjecture(
         shelling_pass=cert.shelling.ok, ball_pass=cert.ok, betti_table=table,
         verdict=verdict, reasons=reasons, certificate=cert,
     )
-

@@ -85,17 +85,11 @@ def _build_instance(kind: str, kv: dict[str, str], max_facets: int):
                 raise UsageError(f"need 1 <= r <= m-1, got r={r}, m={m}")
             spec = paths.MinorSpec.diagonal(m, n, r)
             name = f"minor m={m} n={n} r={r}"
-        try:
-            cx, order = paths.path_complex(spec, max_facets=max_facets)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        cx, order = paths.path_complex(spec, max_facets=max_facets)
         return cx, order, name
     if kind == "polar":
         n, t = _int_param(kv, "n"), _int_param(kv, "t")
-        try:
-            cx, order = polarization.power_ideal_complex(n, t)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        cx, order = polarization.power_ideal_complex(n, t)
         return cx, order, f"polar n={n} t={t}"
     raise UsageError(f"unknown kind {kind!r} (want minor or polar)")
 
@@ -138,6 +132,8 @@ def _report_text(rep) -> str:
 
 def cmd_check(args) -> int:
     if args.file:
+        if args.kind:
+            raise UsageError("check takes a kind (minor|polar) or --file, not both")
         with open(args.file, "r", encoding="utf-8") as fh:
             cx, order = cxmod.complex_from_text_with_order(fh.read())
         meta_path = args.file + ".meta.json"
@@ -186,10 +182,7 @@ def cmd_check(args) -> int:
 def cmd_dual(args) -> int:
     kv = _params(args.params)
     m, n = _int_param(kv, "m"), _int_param(kv, "n")
-    try:
-        verdict = duality.verify_dual_theorem(m, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    verdict = duality.verify_dual_theorem(m, n)
     _emit(canonical_json(verdict.to_json_dict()), args.out)
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
@@ -197,15 +190,11 @@ def cmd_dual(args) -> int:
 def cmd_corners(args) -> int:
     kv = _params(args.params)
     m, n, r = _int_param(kv, "m"), _int_param(kv, "n"), _int_param(kv, "r")
-    try:
-        facets = paths.enumerate_facets(paths.MinorSpec.diagonal(m, n, r), args.max_facets)
-        spectrum = paths.corner_spectrum(m, n, r, facets)
-        constructions = {
-            t: sorted(paths.construct_nonflippable(m, n, r, t).corners)
-            for t in sorted(spectrum)
-        }
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    facets = paths.enumerate_facets(paths.MinorSpec.diagonal(m, n, r), args.max_facets)
+    spectrum = paths.corner_spectrum(m, n, r, facets)
+    constructions = {
+        t: sorted(paths.construct_nonflippable(m, n, r, t).corners) for t in sorted(spectrum)
+    }
     expected = set(range(r, r * (m - r) + 1))
     payload = {
         "kind": "corner-spectrum",
@@ -225,12 +214,9 @@ def cmd_corners(args) -> int:
 def cmd_cyclic(args) -> int:
     kv = _params(args.params)
     n, d = _int_param(kv, "n"), _int_param(kv, "d")
-    try:
-        h = bnd.cyclic_h(n, d)
-        mult = sum(h)
-        ms = bnd.cyclic_max_shifts(n, d)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    h = bnd.cyclic_h(n, d)
+    mult = sum(h)
+    ms = bnd.cyclic_max_shifts(n, d)
     from math import factorial, prod
 
     upper = Fraction(prod(ms), factorial(n - d + 1))
@@ -295,10 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

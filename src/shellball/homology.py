@@ -16,8 +16,8 @@ that subcomplex is a cone over x and has no reduced homology.  One binary
 walk over the used vertices finds the remaining W: it filters the face
 list and the minimal nonfaces once per excluded vertex and cuts a subtree
 as soon as a chosen vertex lies in no minimal nonface avoiding the excluded
-ones.  Full tables and single rows (`hochster_betti_row`) share this walk;
-the default cap of 16 used vertices applies to full tables only.
+ones.  A single row is `hochster_betti_table(...).row(i)`; past the default
+cap of 16 used vertices pass `max_vertices`.
 """
 
 from __future__ import annotations
@@ -191,18 +191,6 @@ def hochster_betti_table(
     return _betti_from_entries(_hochster_entries(cx, char))
 
 
-def hochster_betti_row(
-    cx: SimplicialComplex, i: int, field: int = 0
-) -> dict[int, int]:
-    """Single homological index of the Betti table: {j: beta_{i,j}}.
-
-    Read from the same pruned walk as the full table, without its vertex
-    cap, so it stays usable past the cap.
-    """
-    char = check_field(field)
-    return _betti_from_entries(_hochster_entries(cx, char)).row(i)
-
-
 def shifts(table: BettiTable) -> tuple[list[int | None], list[int | None]]:
     """Minimal and maximal degrees per homological index 1..p.
 
@@ -249,15 +237,6 @@ def canonical_generator_degrees(table: BettiTable, n: int, d: int) -> list[int]:
     if table.p == 0:
         return []
     out: list[int] = []
-    for (i, j), b in table.entries.items():
-        if i == n - d:
-            out.extend([n - j] * b)
-    return sorted(out)
-
-
-def betti_row_degrees(row: dict[int, int], n: int) -> list[int]:
-    """Degrees n-j with multiplicity from a single Betti row (see above)."""
-    out: list[int] = []
-    for j, b in row.items():
+    for j, b in table.row(n - d).items():
         out.extend([n - j] * b)
     return sorted(out)

@@ -70,6 +70,8 @@ class MinorSpec:
             kv[k] = v
         m, n = int(kv["m"]), int(kv["n"])
         if "sigma" in kv:
+            if kv["sigma"].count("|") != 1:
+                raise ValueError(f"expected sigma=<a1,..|b1,..>, got sigma={kv['sigma']}")
             a, b = kv["sigma"].split("|")
             rows = tuple(int(x) for x in a.split(","))
             cols = tuple(int(x) for x in b.split(","))

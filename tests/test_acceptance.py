@@ -13,7 +13,6 @@ from math import comb, factorial, prod
 import pytest
 
 import shellball as sb
-from shellball.homology import betti_row_degrees
 
 SEED = 20240811
 
@@ -112,15 +111,8 @@ def test_criterion_4_canonical_degrees(minor):
         assert degrees == inside
         lo, hi = r * n, r * (n + m - r - 1)
         assert sorted(set(degrees)) == list(range(lo, hi + 1))
-        n_used = len(cx.used_vertices)
-        d = cx.dim + 1
-        if n_used <= 12:
-            table = sb.hochster_betti_table(cx)
-            hochster = sb.canonical_generator_degrees(table, n_used, d)
-        else:
-            row = sb.hochster_betti_row(cx, n_used - d)
-            assert sb.hochster_betti_row(cx, n_used - d + 1) == {}
-            hochster = betti_row_degrees(row, n_used)
+        table = sb.hochster_betti_table(cx)
+        hochster = sb.canonical_generator_degrees(table, len(cx.used_vertices), cx.dim + 1)
         assert degrees == hochster
     line("criterion 4", "PASS  degrees span [rn, r(n+m-r-1)] and match inside faces + resolution top")
 

@@ -1,9 +1,12 @@
+import csv
+import io
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
 from shellball.bounds import (
+    CSV_FIELDS,
     BoundParams,
     betti_bounds,
     check_conjecture,
@@ -217,3 +220,17 @@ def test_report_csv_row():
     rep = check_conjecture(cx, order, instance="x")
     row = rep.csv_row()
     assert row["e"] == 8 and row["verdict"] == "PASS" and row["L"] == 6
+
+
+@pytest.mark.parametrize(
+    "facets, n, order, instance, line",
+    [
+        (SPHERE23, 6, list(range(8)), "sphere", "sphere,6,3,2,,,,,,INAPPLICABLE"),
+        ([{0, 1, 2}], 3, [0], "simplex", "simplex,3,3,,3,,,,,INAPPLICABLE"),
+    ],
+)
+def test_csv_row_leaves_missing_fields_empty(facets, n, order, instance, line):
+    rep = check_conjecture(build_complex(facets, n), order, instance=instance)
+    buf = io.StringIO()
+    csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n").writerow(rep.csv_row())
+    assert buf.getvalue() == line + "\n"

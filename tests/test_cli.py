@@ -170,6 +170,42 @@ def test_missing_param_is_usage_error(capsys):
     assert code == 2 and "n=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ("check minor m=3 n=2 r=1", "error: need 1 <= m <= n"),
+        ("check polar n=0 t=1", "error: need n >= 1 and t >= 1"),
+        ("check polar n=20 t=7", "error: grid size 140 exceeds vertex cap 128"),
+        (
+            "generate minor m=3 n=4 r=1 --max-facets 0",
+            "error: facet cap 0 exceeded (partial count 0)",
+        ),
+        ("dual m=1 n=3", "error: need 2 <= m <= n"),
+        ("corners m=3 n=4 r=3", "error: need 1 <= r <= m-1 and m <= n"),
+        ("cyclic n=5 d=5", "error: need n > d"),
+    ],
+)
+def test_library_value_errors_exit_2(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv.split())
+    assert (code, stdout, err) == (2, "", line + "\n")
+
+
+def test_kind_with_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ball.cx"
+    write_complex_file(build_complex(MINOR23, 6), path)
+    code, stdout, err = run(capsys, "check", "polar", "n=3", "t=2", "--file", str(path))
+    assert code == 2 and not stdout
+    assert err == "error: check takes a kind (minor|polar) or --file, not both\n"
+
+
+@pytest.mark.parametrize("sigma", ["1,2", "1|2|3"])
+def test_malformed_sigma_names_its_form(capsys, sigma):
+    code, stdout, err = run(capsys, "check", "minor", "m=3", "n=4", f"sigma={sigma}")
+    assert code == 2 and not stdout
+    assert err == f"error: expected sigma=<a1,..|b1,..>, got sigma={sigma}\n"
+
+
 def test_non_pure_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.cx"
     path.write_text("n=5\n0 1 2\n3 4\n")

@@ -8,10 +8,8 @@ from shellball.homology import (
     BettiTable,
     _betti_from_entries,
     _reduced_ranks,
-    betti_row_degrees,
     canonical_generator_degrees,
     has_linear_resolution,
-    hochster_betti_row,
     hochster_betti_table,
     linear_resolution_reason,
     reduced_homology_ranks,
@@ -129,14 +127,6 @@ def test_hochster_cap():
         hochster_betti_table(build_complex(MINOR23, 6), max_vertices=4)
 
 
-def test_betti_row_matches_full_table():
-    for facets, n in [(MINOR23, 6), (SPHERE23, 6), (PATH22, 4)]:
-        cx = build_complex(facets, n)
-        tab = hochster_betti_table(cx)
-        for i in range(tab.p + 2):
-            assert hochster_betti_row(cx, i) == tab.row(i)
-
-
 def test_gorenstein_duality_on_spheres():
     for facets, n in [(SPHERE23, 6), ([(0, 1), (1, 2), (2, 3), (0, 3)], 4)]:
         cx = build_complex(facets, n)
@@ -218,8 +208,9 @@ def test_strict_shift_growth():
         assert all(a < b for a, b in zip(mins, mins[1:]))
 
 
-def test_betti_row_degrees_helper():
-    assert betti_row_degrees({9: 2, 10: 6}, 15) == [5, 5, 5, 5, 5, 5, 6, 6]
+def test_canonical_degrees_read_top_row():
+    tab = BettiTable(entries={(0, 0): 1, (8, 9): 2, (8, 10): 6}, p=8)
+    assert canonical_generator_degrees(tab, 15, 7) == [5, 5, 5, 5, 5, 5, 6, 6]
 
 
 def test_betti_json():
@@ -363,9 +354,6 @@ def test_pruned_table_matches_unpruned_walk(name, cx):
     for field in (0, 2, 3):
         want = unpruned_betti_table(cx, field)
         assert hochster_betti_table(cx, field=field).entries == want.entries, field
-        if field == 2:
-            for i in range(want.p + 2):
-                assert hochster_betti_row(cx, i, field=2) == want.row(i), i
 
 
 @given(pure_complexes(max_n=8))
