@@ -32,7 +32,7 @@ print(" ", all(table.beta(3 - i, 6 - j) == b for (i, j), b in table.entries.item
 print("linear-resolution dichotomy on the 3x4 grid:")
 for r in (1, 2):
     cx, _ = sb.path_complex(sb.MinorSpec.diagonal(3, 4, r))
-    m = sb.smallest_nonface_size(cx)
+    m = sb.smallest_nonface_size(sb.f_vector(cx))
     tab = sb.hochster_betti_table(cx)
     ok, reason = sb.linear_resolution_reason(tab, m)
     print(f"  r={r}: generated in degree {m}; linear resolution: {ok} ({reason})")

@@ -203,9 +203,9 @@ def check_conjecture(
     hypothesis holds; any failed hypothesis (no boundary, uncertified ball,
     undefined or out-of-range m, interior vertices, A1, A2) downgrades the
     verdict to INAPPLICABLE with all computable data still reported.
-    The ball's h (hence f) is read off a passing shelling certificate and
-    its minimal inside faces off a passing ball certificate; only an order
-    that fails falls back to the ball's face lattice.
+    The ball's h (hence f, and m from f) is read off a passing shelling
+    certificate and its minimal inside faces off a passing ball certificate;
+    only an order that fails falls back to the ball's face lattice.
     """
     check_field(field_char)
     if not ball.is_pure:
@@ -226,7 +226,7 @@ def check_conjecture(
     elif not cert.ok:
         reasons.append(f"ball certification failed: {cert.reason}")
 
-    m = cxmod.smallest_nonface_size(ball)
+    m = cxmod.smallest_nonface_size(f)
     e = bh = on_boundary = A1 = A2 = m_in_range = L = U = None
     table = L_betti = U_betti = None
     if not boundary.facets:

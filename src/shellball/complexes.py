@@ -4,7 +4,8 @@ Faces are integer bit masks over a fixed universe of at most 128 vertices,
 so containment tests are single AND operations and face enumeration works
 on plain sets of ints.  Everything here is exact integer arithmetic: f- and
 h-vectors, boundary complexes, minimal nonfaces, minimal inside faces and
-multiplicities.  No floats anywhere.
+multiplicities.  The size of the smallest nonface is read off the f-vector.
+No floats anywhere.
 
 Conventions:
 
@@ -19,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -254,29 +254,27 @@ def _minimal_outside(
     """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``.
 
     Candidates of size k are (k-1)-sets of the lattice extended by one used
-    vertex; a candidate outside the lattice is minimal iff every
-    codimension-one subset lies in it.  The search stops by itself at the
-    first size with no (k-1)-sets, so no size bound is assumed.  With
-    ``within`` (another lattice by size) only its members are kept.
+    vertex above their top vertex, so each arises once, from itself minus
+    its top vertex.  A candidate outside the lattice is minimal iff every
+    codimension-one subset lies in it, so every minimal one is generated.
+    The search stops by itself at the first size with no (k-1)-sets, so no
+    size bound is assumed.  With ``within`` (another lattice by size) only
+    its members are kept.
     """
     out: list[int] = []
     k = 1
     while base := levels.get(k - 1):
         cur = levels.get(k, ())
         keep = within.get(k, ()) if within is not None else None
-        seen: set[int] = set()
         for f in base:
-            rem = used & ~f
+            rem = used & -(1 << f.bit_length())
             while rem:
                 b = rem & -rem
                 rem ^= b
                 g = f | b
-                if g in seen:
-                    continue
-                seen.add(g)
                 if g in cur or (keep is not None and g not in keep):
                     continue
-                if all((g ^ (1 << v)) in base for v in iter_bits(g)):
+                if all((g ^ (1 << v)) in base for v in iter_bits(f)):
                     out.append(g)
         k += 1
     return out
@@ -300,20 +298,16 @@ def minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     return [vertices_of(m) for m in minimal_nonface_masks(cx)]
 
 
-def smallest_nonface_size(cx: SimplicialComplex) -> int | None:
-    """Cardinality of the smallest nonface, or None for a full simplex.
+def smallest_nonface_size(f: Sequence[int]) -> int | None:
+    """Cardinality of the smallest nonface, read off the f-vector ``f_0..f_{d-1}``.
 
-    Equals the first size at which the face count drops below the full
-    binomial count over the used vertices; below it every subset is a face.
-    Only the k-faces of one size at a time are listed, from the facets, up
-    to that first size, so the face lattice is never built.
+    ``f[0]`` counts the used vertices, and every k-subset of them is a face
+    exactly when ``f[k-1] == C(f[0], k)``.  So m is the first k >= 2 at
+    which the count falls short, taking ``f_d = 0``; None for a full simplex
+    or the empty f-vector.
     """
-    bits = [[1 << v for v in iter_bits(f)] for f in cx.facets]
-    u = cx.used_mask.bit_count()
-    for k in range(1, u + 1):
-        if len({sum(c) for b in bits for c in combinations(b, k)}) < comb(u, k):
-            return k
-    return None
+    counts = (*f, 0)
+    return next((k for k in range(2, len(counts) + 1) if counts[k - 1] < comb(f[0], k)), None)
 
 
 def boundary_complex(cx: SimplicialComplex) -> SimplicialComplex:

@@ -86,7 +86,7 @@ def test_criterion_2_linear_resolution_dichotomy(minor):
     for r in (1, 2):
         _, _, cx, _ = minor(3, 4, r)
         assert len(cx.used_vertices) == 12
-        m = sb.smallest_nonface_size(cx)
+        m = sb.smallest_nonface_size(sb.f_vector(cx))
         table = sb.hochster_betti_table(cx)
         results[r] = sb.has_linear_resolution(table, m)
     assert results == {1: False, 2: True}

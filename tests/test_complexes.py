@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from shellball.complexes import (
     SimplicialComplex,
+    _canonical_key,
+    _minimal_outside,
     boundary_complex,
     boundary_h_from_h,
     build_complex,
@@ -13,12 +17,16 @@ from shellball.complexes import (
     h_vector,
     mask_of,
     minimal_inside_faces,
+    minimal_nonface_masks,
     minimal_nonfaces,
     multiplicity,
     smallest_nonface_size,
     vector_profile,
     vertices_of,
 )
+from shellball.duality import alexander_dual
+from shellball.paths import MinorSpec, path_complex
+from shellball.polarization import power_ideal_complex
 
 # the 2x3 maximal-minor complex, facets frozen from the three path families
 MINOR23 = [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
@@ -97,13 +105,23 @@ def test_f_h_round_trip():
 def test_minimal_nonfaces_square():
     cx = build_complex([{0, 1}, {1, 2}, {2, 3}, {0, 3}], 4)
     assert minimal_nonfaces(cx) == [(0, 2), (1, 3)]
-    assert smallest_nonface_size(cx) == 2
+    assert smallest_nonface_size(f_vector(cx)) == 2
 
 
 def test_minimal_nonfaces_full_simplex():
     cx = build_complex([{0, 1, 2}], 3)
     assert minimal_nonfaces(cx) == []
-    assert smallest_nonface_size(cx) is None
+    assert smallest_nonface_size(f_vector(cx)) is None
+
+
+def test_smallest_nonface_size_reads_f_vector():
+    assert smallest_nonface_size(()) is None
+    assert smallest_nonface_size((1,)) is None  # a point
+    assert smallest_nonface_size((3, 3, 1)) is None  # a triangle
+    assert smallest_nonface_size((5,)) == 2  # five points
+    assert smallest_nonface_size((4, 4)) == 2  # the square
+    assert smallest_nonface_size((4, 6, 4)) == 4  # the tetrahedron's boundary
+    assert smallest_nonface_size((6, 12, 10, 3)) == 2  # MINOR23
 
 
 def test_minimal_nonfaces_minor23():
@@ -123,6 +141,98 @@ def test_minimal_nonfaces_bruteforce_oracle():
         and all((s ^ (1 << v)) in faces for v in vertices_of(s))
     )
     assert sorted(minimal_nonfaces(cx)) == expected
+
+
+def seen_set_minimal_outside(levels, used, within=None):
+    """Oracle: the minimal sets outside ``levels``, found by extending every
+    (k-1)-set by every used vertex and dropping repeats through a set."""
+    out = []
+    k = 1
+    while base := levels.get(k - 1):
+        cur = levels.get(k, ())
+        keep = within.get(k, ()) if within is not None else None
+        seen = set()
+        for f in base:
+            for v in vertices_of(used & ~f):
+                g = f | 1 << v
+                if g in seen:
+                    continue
+                seen.add(g)
+                if g in cur or (keep is not None and g not in keep):
+                    continue
+                if all((g ^ (1 << w)) in base for w in vertices_of(g)):
+                    out.append(g)
+        k += 1
+    return out
+
+
+def outside_oracle_cases():
+    """Random pure and non-pure complexes, minors, polars and their boundaries."""
+    rng = random.Random(11)
+    cases = [SimplicialComplex(3, []), SimplicialComplex(3, [0])]
+    for pure in (True, False):
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            k = rng.randint(1, n)
+            facets = [
+                rng.sample(range(n), k if pure else rng.randint(1, n))
+                for _ in range(rng.randint(1, 6))
+            ]
+            cases.append(build_complex(facets, n))
+    specs = [MinorSpec.diagonal(*p) for p in [(2, 3, 1), (3, 4, 1), (3, 4, 2), (3, 5, 2)]]
+    specs.append(MinorSpec(3, 4, (1, 3), (2, 4)))
+    balls = [path_complex(spec)[0] for spec in specs]
+    balls += [power_ideal_complex(*p)[0] for p in [(2, 2), (3, 2), (2, 3), (3, 3)]]
+    return cases + balls + [boundary_complex(cx) for cx in balls]
+
+
+OUTSIDE_CASES = outside_oracle_cases()
+
+
+def test_minimal_nonfaces_match_seen_set_oracle():
+    for cx in OUTSIDE_CASES:
+        found = seen_set_minimal_outside(cx.faces_by_size(), cx.used_mask)
+        assert minimal_nonface_masks(cx) == sorted(found, key=_canonical_key), cx
+        found += [1 << v for v in cx.unused_vertices]
+        assert minimal_nonface_masks(cx, over_universe=True) == sorted(found, key=_canonical_key)
+
+
+def test_alexander_dual_matches_seen_set_oracle():
+    for cx in OUTSIDE_CASES:
+        found = seen_set_minimal_outside(cx.faces_by_size(), cx.used_mask)
+        found += [1 << v for v in cx.unused_vertices]
+        if not found:
+            with pytest.raises(ValueError, match="zero ideal"):
+                alexander_dual(cx)
+            continue
+        full = (1 << cx.n) - 1
+        assert alexander_dual(cx) == SimplicialComplex(cx.n, [full ^ g for g in found]), cx
+
+
+def test_minimal_inside_faces_match_seen_set_oracle():
+    checked = 0
+    for cx in OUTSIDE_CASES:
+        try:
+            bd = boundary_complex(cx)
+        except ValueError:
+            continue
+        if not bd.facets:
+            continue
+        found = seen_set_minimal_outside(bd.faces_by_size(), cx.used_mask, cx.faces_by_size())
+        expected = [vertices_of(g) for g in sorted(found, key=_canonical_key)]
+        assert minimal_inside_faces(cx, bd) == expected, cx
+        checked += 1
+    assert checked >= 50
+
+
+def test_minimal_outside_returns_each_set_once():
+    for cx in OUTSIDE_CASES:
+        out = _minimal_outside(cx.faces_by_size(), cx.used_mask)
+        assert len(out) == len(set(out)), cx
+    for cx in OUTSIDE_CASES[-9:]:  # the balls, inside their boundaries
+        bd = boundary_complex(cx)
+        out = _minimal_outside(bd.faces_by_size(), cx.used_mask, cx.faces_by_size())
+        assert len(out) == len(set(out)), cx
 
 
 def test_boundary_of_edge():

@@ -1,5 +1,6 @@
 """Randomized invariants over generated complexes (all seeded via hypothesis)."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -192,6 +193,18 @@ def lattice_smallest_nonface_size(cx):
     return None
 
 
+def subset_smallest_nonface_size(cx):
+    """Oracle: the first size k at which the distinct k-subsets of the
+    facets are fewer than the k-subsets of the used vertices, listing one
+    size at a time."""
+    bits = [[1 << v for v in vertices_of(f)] for f in cx.facets]
+    u = cx.used_mask.bit_count()
+    for k in range(1, u + 1):
+        if len({sum(c) for b in bits for c in combinations(b, k)}) < comb(u, k):
+            return k
+    return None
+
+
 @given(complexes())
 @example(build_complex([{0, 1, 2}], 3))
 @example(build_complex([{0, 1, 2}], 5))
@@ -199,7 +212,8 @@ def lattice_smallest_nonface_size(cx):
 @example(build_complex([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}], 4))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_smallest_nonface_size_matches_lattice_oracle(cx):
-    assert smallest_nonface_size(cx) == lattice_smallest_nonface_size(cx)
+    m = smallest_nonface_size(f_vector(cx))
+    assert m == lattice_smallest_nonface_size(cx) == subset_smallest_nonface_size(cx)
 
 
 @st.composite
@@ -241,3 +255,12 @@ def test_certified_inside_faces_match_lattice(case):
     inside = certified_inside_faces(cx, cert)
     assert inside == minimal_inside_faces(cx)
     assert sorted(inside) == bruteforce_inside_faces(cx)
+
+
+@given(certified_balls)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_smallest_nonface_size_from_certified_f(case):
+    cx, order = case
+    f = f_from_h(certified_h(cx, verify_shelling(cx, order)), cx.dim + 1)
+    m = smallest_nonface_size(f)
+    assert m == lattice_smallest_nonface_size(cx) == subset_smallest_nonface_size(cx)
