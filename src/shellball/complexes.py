@@ -377,19 +377,26 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
 
     The order lists canonical facet indices in the sequence the file gave
     them (duplicates and absorbed facets dropped), which a caller can use
-    as a shelling-order candidate.
+    as a shelling-order candidate.  A malformed ``n=`` or facet line raises
+    ValueError naming its line number in the file and the expected form.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("n="):
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError("complex file must start with 'n=<int>'")
-    n = int(lines[0][2:])
+    (i, head), *rest = lines
+    if not head[2:].strip().isdecimal():
+        raise ValueError(f"line {i}: expected n=<int> with n >= 0, got {head}")
+    n = int(head[2:])
     labels = None
-    rest = lines[1:]
-    if rest and rest[0].startswith("labels="):
-        labels = rest[0][len("labels=") :].split(",")
+    if rest and rest[0][1].startswith("labels="):
+        labels = rest[0][1][len("labels=") :].split(",")
         rest = rest[1:]
-    facets = [[int(tok) for tok in ln.split()] for ln in rest]
+    facets = []
+    for i, ln in rest:
+        if not all(tok.isdecimal() and int(tok) < n for tok in ln.split()):
+            raise ValueError(f"line {i}: expected integer vertex indices below n={n}, got {ln!r}")
+        facets.append([int(tok) for tok in ln.split()])
     cx = build_complex(facets, n, labels)
     pos = {m: k for k, m in enumerate(cx.facets)}
     order: list[int] = []

@@ -68,15 +68,25 @@ class MinorSpec:
                 raise ValueError(f"bad token {tok!r}")
             k, v = tok.split("=", 1)
             kv[k] = v
-        m, n = int(kv["m"]), int(kv["n"])
-        if "sigma" in kv:
-            if kv["sigma"].count("|") != 1:
-                raise ValueError(f"expected sigma=<a1,..|b1,..>, got sigma={kv['sigma']}")
+
+        def number(key: str) -> int:
+            if key not in kv:
+                raise ValueError(f"missing parameter {key}=<int>")
+            try:
+                return int(kv[key])
+            except ValueError:
+                raise ValueError(f"expected {key}=<int>, got {key}={kv[key]}") from None
+
+        m, n = number("m"), number("n")
+        if "sigma" not in kv:
+            return cls.diagonal(m, n, number("r"))
+        try:
             a, b = kv["sigma"].split("|")
             rows = tuple(int(x) for x in a.split(","))
             cols = tuple(int(x) for x in b.split(","))
-            return cls(m, n, rows, cols)
-        return cls.diagonal(m, n, int(kv["r"]))
+        except ValueError:
+            raise ValueError(f"expected sigma=<a1,..|b1,..>, got sigma={kv['sigma']}") from None
+        return cls(m, n, rows, cols)
 
     @property
     def r(self) -> int:

@@ -199,11 +199,31 @@ def test_kind_with_file_is_usage_error(tmp_path, capsys):
     assert err == "error: check takes a kind (minor|polar) or --file, not both\n"
 
 
-@pytest.mark.parametrize("sigma", ["1,2", "1|2|3"])
+@pytest.mark.parametrize("sigma", ["1,2", "1|2|3", "a|b", "|", "1;2|1,3"])
 def test_malformed_sigma_names_its_form(capsys, sigma):
     code, stdout, err = run(capsys, "check", "minor", "m=3", "n=4", f"sigma={sigma}")
     assert code == 2 and not stdout
     assert err == f"error: expected sigma=<a1,..|b1,..>, got sigma={sigma}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n=abc\n0 1\n", "line 1: expected n=<int> with n >= 0, got n=abc"),
+        ("n=-1\n0\n", "line 1: expected n=<int> with n >= 0, got n=-1"),
+        ("n=3\n0 1\n0 x\n", "line 3: expected integer vertex indices below n=3, got '0 x'"),
+        (
+            "# ball\nn=4\n\n0 1\n1 9\n",
+            "line 5: expected integer vertex indices below n=4, got '1 9'",
+        ),
+        ("n=4\n0 -1\n", "line 2: expected integer vertex indices below n=4, got '0 -1'"),
+    ],
+)
+def test_malformed_file_names_its_line(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.cx"
+    path.write_text(text)
+    code, stdout, err = run(capsys, "check", "--file", str(path))
+    assert (code, stdout, err) == (2, "", f"error: {line}\n")
 
 
 def test_non_pure_file_is_usage_error(tmp_path, capsys):

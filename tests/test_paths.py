@@ -87,6 +87,26 @@ def test_minor_spec_validation():
     assert MinorSpec.parse("m=2 n=3 r=1") == MinorSpec.diagonal(2, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("m=3 n=4 sigma=a|b", "expected sigma=<a1,..|b1,..>, got sigma=a|b"),
+        ("m=3 n=4 sigma=|", "expected sigma=<a1,..|b1,..>, got sigma=|"),
+        ("m=3 n=4 sigma=1;2|1,3", "expected sigma=<a1,..|b1,..>, got sigma=1;2|1,3"),
+        ("m=3 n=4 sigma=1,2", "expected sigma=<a1,..|b1,..>, got sigma=1,2"),
+        ("m=3 n=4", "missing parameter r=<int>"),
+        ("n=4 r=1", "missing parameter m=<int>"),
+        ("m=3 r=1", "missing parameter n=<int>"),
+        ("m=x n=4 r=1", "expected m=<int>, got m=x"),
+        ("m=3 n=4 r=", "expected r=<int>, got r="),
+    ],
+)
+def test_minor_spec_parse_names_malformed_input(text, message):
+    with pytest.raises(ValueError) as info:
+        MinorSpec.parse(text)
+    assert str(info.value) == message
+
+
 def test_enumerate_minor23():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
     assert [f.index_tuple for f in fams] == [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
