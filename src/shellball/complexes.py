@@ -3,9 +3,8 @@
 Faces are integer bit masks over a fixed universe of at most 128 vertices,
 so containment tests are single AND operations and face enumeration works
 on plain sets of ints.  Everything here is exact integer arithmetic: f- and
-h-vectors, boundary complexes, minimal nonfaces, minimal inside faces and
-multiplicities.  The size of the smallest nonface is read off the f-vector.
-No floats anywhere.
+h-vectors, boundary complexes, minimal nonfaces (their least size read off
+the f-vector), minimal inside faces and multiplicities.  No floats anywhere.
 
 Conventions:
 
@@ -33,20 +32,15 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    return tuple(iter_bits(mask))
 
 
 def _canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -253,13 +247,12 @@ def _minimal_outside(
 ) -> list[int]:
     """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``.
 
-    Candidates of size k are (k-1)-sets of the lattice extended by one used
-    vertex above their top vertex, so each arises once, from itself minus
-    its top vertex.  A candidate outside the lattice is minimal iff every
-    codimension-one subset lies in it, so every minimal one is generated.
-    The search stops by itself at the first size with no (k-1)-sets, so no
-    size bound is assumed.  With ``within`` (another lattice by size) only
-    its members are kept.
+    Candidates of size k are (k-1)-sets of the lattice extended by a used
+    vertex above their top one, so each arises once; a candidate outside
+    the lattice is minimal iff every codimension-one subset lies in it, so
+    no minimal one is missed.  The search stops by itself at the first size
+    with no (k-1)-sets, so no size bound is assumed.  With ``within``
+    (another lattice by size) only its members are kept.
     """
     out: list[int] = []
     k = 1
@@ -377,21 +370,17 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
 
     The order lists canonical facet indices in the sequence the file gave
     them (duplicates and absorbed facets dropped), which a caller can use
-    as a shelling-order candidate.  A malformed ``n=`` or facet line raises
-    ValueError naming its line number in the file and the expected form.
+    as a shelling-order candidate.  A malformed line raises ValueError
+    naming its line number in the file and the expected form.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
-    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0][1].startswith("n="):
-        raise ValueError("complex file must start with 'n=<int>'")
-    (i, head), *rest = lines
-    if not head[2:].strip().isdecimal():
-        raise ValueError(f"line {i}: expected n=<int> with n >= 0, got {head}")
+    (i, head), *rest = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")] or [(1, "")]
+    if not (head.startswith("n=") and head[2:].strip().isdecimal()):
+        raise ValueError(f"line {i}: expected n=<int> with n >= 0, got {head!r}")
     n = int(head[2:])
     labels = None
     if rest and rest[0][1].startswith("labels="):
-        labels = rest[0][1][len("labels=") :].split(",")
-        rest = rest[1:]
+        labels = rest.pop(0)[1][len("labels=") :].split(",")
     facets = []
     for i, ln in rest:
         if not all(tok.isdecimal() and int(tok) < n for tok in ln.split()):

@@ -68,18 +68,12 @@ class MinorSpec:
                 raise ValueError(f"bad token {tok!r}")
             k, v = tok.split("=", 1)
             kv[k] = v
-
-        def number(key: str) -> int:
+        for key in ("m", "n") if "sigma" in kv else ("m", "n", "r"):
             if key not in kv:
                 raise ValueError(f"missing parameter {key}=<int>")
-            try:
-                return int(kv[key])
-            except ValueError:
-                raise ValueError(f"expected {key}=<int>, got {key}={kv[key]}") from None
-
-        m, n = number("m"), number("n")
+        m, n = int(kv["m"]), int(kv["n"])
         if "sigma" not in kv:
-            return cls.diagonal(m, n, number("r"))
+            return cls.diagonal(m, n, int(kv["r"]))
         try:
             a, b = kv["sigma"].split("|")
             rows = tuple(int(x) for x in a.split(","))

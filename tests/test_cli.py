@@ -209,8 +209,10 @@ def test_malformed_sigma_names_its_form(capsys, sigma):
 @pytest.mark.parametrize(
     "text, line",
     [
-        ("n=abc\n0 1\n", "line 1: expected n=<int> with n >= 0, got n=abc"),
-        ("n=-1\n0\n", "line 1: expected n=<int> with n >= 0, got n=-1"),
+        ("n=abc\n0 1\n", "line 1: expected n=<int> with n >= 0, got 'n=abc'"),
+        ("n=-1\n0\n", "line 1: expected n=<int> with n >= 0, got 'n=-1'"),
+        ("# ball\n0 1\n", "line 2: expected n=<int> with n >= 0, got '0 1'"),
+        ("", "line 1: expected n=<int> with n >= 0, got ''"),
         ("n=3\n0 1\n0 x\n", "line 3: expected integer vertex indices below n=3, got '0 x'"),
         (
             "# ball\nn=4\n\n0 1\n1 9\n",

@@ -97,8 +97,6 @@ def test_minor_spec_validation():
         ("m=3 n=4", "missing parameter r=<int>"),
         ("n=4 r=1", "missing parameter m=<int>"),
         ("m=3 r=1", "missing parameter n=<int>"),
-        ("m=x n=4 r=1", "expected m=<int>, got m=x"),
-        ("m=3 n=4 r=", "expected r=<int>, got r="),
     ],
 )
 def test_minor_spec_parse_names_malformed_input(text, message):
