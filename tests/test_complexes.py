@@ -166,8 +166,16 @@ def seen_set_minimal_outside(levels, used, within=None):
     return out
 
 
+def oracle_balls():
+    """Minors, a non-diagonal one among them, and polars."""
+    specs = [MinorSpec.diagonal(*p) for p in [(2, 3, 1), (3, 4, 1), (3, 4, 2), (3, 5, 2)]]
+    specs.append(MinorSpec(3, 4, (1, 3), (2, 4)))
+    balls = [path_complex(spec)[0] for spec in specs]
+    return balls + [power_ideal_complex(*p)[0] for p in [(2, 2), (3, 2), (2, 3), (3, 3)]]
+
+
 def outside_oracle_cases():
-    """Random pure and non-pure complexes, minors, polars and their boundaries."""
+    """Random pure and non-pure complexes, plus the balls and their boundaries."""
     rng = random.Random(11)
     cases = [SimplicialComplex(3, []), SimplicialComplex(3, [0])]
     for pure in (True, False):
@@ -179,13 +187,10 @@ def outside_oracle_cases():
                 for _ in range(rng.randint(1, 6))
             ]
             cases.append(build_complex(facets, n))
-    specs = [MinorSpec.diagonal(*p) for p in [(2, 3, 1), (3, 4, 1), (3, 4, 2), (3, 5, 2)]]
-    specs.append(MinorSpec(3, 4, (1, 3), (2, 4)))
-    balls = [path_complex(spec)[0] for spec in specs]
-    balls += [power_ideal_complex(*p)[0] for p in [(2, 2), (3, 2), (2, 3), (3, 3)]]
-    return cases + balls + [boundary_complex(cx) for cx in balls]
+    return cases + ORACLE_BALLS + [boundary_complex(cx) for cx in ORACLE_BALLS]
 
 
+ORACLE_BALLS = oracle_balls()
 OUTSIDE_CASES = outside_oracle_cases()
 
 
@@ -229,10 +234,10 @@ def test_minimal_outside_returns_each_set_once():
     for cx in OUTSIDE_CASES:
         out = _minimal_outside(cx.faces_by_size(), cx.used_mask)
         assert len(out) == len(set(out)), cx
-    for cx in OUTSIDE_CASES[-9:]:  # the balls, inside their boundaries
+    for cx in ORACLE_BALLS:
         bd = boundary_complex(cx)
         out = _minimal_outside(bd.faces_by_size(), cx.used_mask, cx.faces_by_size())
-        assert len(out) == len(set(out)), cx
+        assert out and len(out) == len(set(out)), cx
 
 
 def test_boundary_of_edge():

@@ -21,6 +21,7 @@ with ``PYTHONPATH=src python tests/test_golden.py --write``.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -117,6 +118,7 @@ def _random_pure(seed):
     return cx, [(f"field={(0, 2, 3)[seed % 3]}", order, (0, 2, 3)[seed % 3], DEFAULT_VERTEX_CAP)]
 
 
+@functools.cache
 def groups():
     """Input groups by name, each built lazily."""
     out = {}
@@ -148,6 +150,7 @@ def compute_all() -> dict:
     return out
 
 
+@functools.cache
 def _load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
