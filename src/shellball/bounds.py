@@ -264,7 +264,10 @@ def check_conjecture(
                 reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
 
         if len(boundary.used_vertices) <= max_vertices:
-            table = hochster_betti_table(boundary, field=field_char, max_vertices=max_vertices)
+            # a passing ball certificate makes the boundary a homology sphere
+            table = hochster_betti_table(
+                boundary, field=field_char, max_vertices=max_vertices, sphere=cert.ok
+            )
             L_betti, U_betti = betti_bounds(table)
 
     if reasons:

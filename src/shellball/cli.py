@@ -81,8 +81,6 @@ def _build_instance(kind: str, kv: dict[str, str], max_facets: int):
             name = f"minor m={m} n={n} sigma={kv['sigma']}"
         else:
             r = _int_param(kv, "r")
-            if not 1 <= r <= m - 1:
-                raise UsageError(f"need 1 <= r <= m-1, got r={r}, m={m}")
             spec = paths.MinorSpec.diagonal(m, n, r)
             name = f"minor m={m} n={n} r={r}"
         cx, order = paths.path_complex(spec, max_facets=max_facets)

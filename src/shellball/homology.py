@@ -18,6 +18,16 @@ list and the minimal nonfaces once per excluded vertex and cuts a subtree
 as soon as a chosen vertex lies in no minimal nonface avoiding the excluded
 ones.  A single row is `hochster_betti_table(...).row(i)`; past the default
 cap of 16 used vertices pass `max_vertices`.
+
+A homology sphere of dimension D on the vertex set V (|V| = u) halves the
+walk by Alexander duality: for nonempty W != V, H~_q(Delta_W) is isomorphic
+to H~^{D-q-1}(Delta_{V-W}) over every field (Bjorner-Tancer 2009; Miller-
+Sturmfels, Thm 5.6).  So an entry (i, j) of a leaf W has the mirror entry
+(u-D-1-i, u-j) from its complement, and the walk stops choosing vertices at
+u // 2.  The boundary of a certified ball qualifies: a shellable
+pseudomanifold with boundary is a PL ball (Danaraj-Klee), and its boundary
+is a PL sphere, a homology sphere over every field.  Only a caller holding
+that certificate passes `sphere=True`.
 """
 
 from __future__ import annotations
@@ -143,27 +153,40 @@ def _betti_from_entries(entries: dict[tuple[int, int], int]) -> BettiTable:
     return BettiTable(entries=entries, p=max(i for i, _ in entries))
 
 
-def _hochster_entries(cx: SimplicialComplex, char: int) -> dict[tuple[int, int], int]:
+def _hochster_entries(
+    cx: SimplicialComplex, char: int, sphere: bool
+) -> dict[tuple[int, int], int]:
     """Hochster sums over the nonempty unions W of minimal nonfaces.
 
     `faces` and `nonfaces` in the walk are those avoiding every excluded
     vertex; a subtree in which a chosen vertex lies in none of the nonfaces
-    holds only cones (see the module docstring) and is cut.
+    holds only cones (see the module docstring) and is cut.  With `sphere`
+    only |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its
+    complement's entries, a leaf with 2|W| = u has its complement walked as
+    a leaf too, and W = V is the top class.  A cut W spans a cone, so its
+    complement is acyclic as well and owns no entry.
     """
     used = cx.used_vertices
+    u = len(used)
+    largest = u // 2 if sphere else u
+    p = u - cx.dim - 1  # a sphere's projective dimension, home of its top class
     faces = _sorted_faces(cx)
     cols = _columns(faces, char)
     nonfaces = minimal_nonface_masks(cx)
-    entries: dict[tuple[int, int], int] = {}
+    entries: Counter[tuple[int, int]] = Counter()
+    if sphere:
+        entries[(p, u)] = 1
 
     def process(w_size: int, faces: list[int]) -> None:
         for dim, rank in _reduced_ranks(faces, cols, char).items():
             if rank:
-                key = (w_size - 1 - dim, w_size)
-                entries[key] = entries.get(key, 0) + rank
+                i = w_size - 1 - dim
+                entries[(i, w_size)] += rank
+                if sphere and 2 * w_size < u:
+                    entries[(p - i, u - w_size)] += rank
 
     def rec(k: int, faces: list[int], nonfaces: list[int], chosen: int) -> None:
-        if k == len(used):
+        if k == u:
             if chosen:
                 process(chosen.bit_count(), faces)
             return
@@ -173,7 +196,7 @@ def _hochster_entries(cx: SimplicialComplex, char: int) -> dict[tuple[int, int],
         # when a remaining nonface passes through the vertex
         if chosen & ~reduce(or_, rest, 0) == 0:
             rec(k + 1, [f for f in faces if not f & bit], rest, chosen)
-        if len(rest) < len(nonfaces):
+        if len(rest) < len(nonfaces) and chosen.bit_count() < largest:
             rec(k + 1, faces, nonfaces, chosen | bit)
 
     rec(0, faces, nonfaces, 0)
@@ -181,14 +204,23 @@ def _hochster_entries(cx: SimplicialComplex, char: int) -> dict[tuple[int, int],
 
 
 def hochster_betti_table(
-    cx: SimplicialComplex, field: int = 0, max_vertices: int = DEFAULT_VERTEX_CAP
+    cx: SimplicialComplex,
+    field: int = 0,
+    max_vertices: int = DEFAULT_VERTEX_CAP,
+    *,
+    sphere: bool = False,
 ) -> BettiTable:
-    """Full graded Betti table of S/I via induced-subcomplex homology."""
+    """Full graded Betti table of S/I via induced-subcomplex homology.
+
+    Set `sphere` only when `cx` is certified a homology sphere: the walk then
+    visits only |W| <= u/2 and reads the rest off Alexander duality (see the
+    module docstring).  Without it every union of minimal nonfaces is walked.
+    """
     char = check_field(field)
     u = len(cx.used_vertices)
     if u > max_vertices:
         raise ValueError(f"used-vertex count {u} exceeds cap {max_vertices}")
-    return _betti_from_entries(_hochster_entries(cx, char))
+    return _betti_from_entries(_hochster_entries(cx, char, sphere))
 
 
 def shifts(table: BettiTable) -> tuple[list[int | None], list[int | None]]:

@@ -71,9 +71,16 @@ class MinorSpec:
         for key in ("m", "n") if "sigma" in kv else ("m", "n", "r"):
             if key not in kv:
                 raise ValueError(f"missing parameter {key}=<int>")
-        m, n = int(kv["m"]), int(kv["n"])
+
+        def integer(key: str) -> int:
+            try:
+                return int(kv[key])
+            except ValueError:
+                raise ValueError(f"parameter {key} must be an integer, got {kv[key]!r}") from None
+
+        m, n = integer("m"), integer("n")
         if "sigma" not in kv:
-            return cls.diagonal(m, n, int(kv["r"]))
+            return cls.diagonal(m, n, integer("r"))
         try:
             a, b = kv["sigma"].split("|")
             rows = tuple(int(x) for x in a.split(","))

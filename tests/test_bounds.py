@@ -5,6 +5,7 @@ from math import factorial, prod
 
 import pytest
 
+from shellball import homology
 from shellball.bounds import (
     CSV_FIELDS,
     BoundParams,
@@ -17,7 +18,7 @@ from shellball.bounds import (
     linear_ball_boundary_h,
     lower_bound_estimate,
 )
-from shellball.complexes import SimplicialComplex, build_complex
+from shellball.complexes import SimplicialComplex, boundary_complex, build_complex
 from shellball.homology import BettiTable, hochster_betti_table
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
@@ -183,6 +184,43 @@ def test_failed_shelling_falls_back_to_the_lattice(monkeypatch):
     assert any(c is cx for c in asked)
     assert (rep.f, rep.h, rep.A1) == ((6, 12, 10, 3), (1, 2, 0, 0, 0), True)
     assert rep.verdict == "INAPPLICABLE"
+
+
+def spy_leaves(monkeypatch) -> list:
+    """Record every induced subcomplex that the Hochster walk ranks."""
+    leaves = []
+    original = homology._reduced_ranks
+
+    def reduced_ranks(faces, cols, char):
+        leaves.append(len(faces))
+        return original(faces, cols, char)
+
+    monkeypatch.setattr(homology, "_reduced_ranks", reduced_ranks)
+    return leaves
+
+
+@pytest.mark.parametrize(
+    "cx, order, certified",
+    [
+        (*path_complex(MinorSpec.diagonal(3, 4, 2)), True),
+        (*power_ideal_complex(3, 3), True),
+        (build_complex(MINOR23, 6), [0, 2, 1], False),
+    ],
+    ids=["minor 3 4 2", "polar 3 3", "minor23 failing order"],
+)
+def test_duality_walk_needs_a_passing_ball_certificate(monkeypatch, cx, order, certified):
+    leaves = spy_leaves(monkeypatch)
+    rep = check_conjecture(cx, order)
+    assert rep.ball_pass is certified
+    walked = len(leaves)
+    bd = boundary_complex(cx)
+    counts = {}
+    for sphere in (False, True):
+        leaves.clear()
+        assert hochster_betti_table(bd, sphere=sphere).entries == rep.betti_table.entries
+        counts[sphere] = len(leaves)
+    assert counts[True] < counts[False]
+    assert walked == counts[certified]
 
 
 def test_check_not_pure():

@@ -32,9 +32,20 @@ def test_generate_polar(tmp_path, capsys):
 
 
 def test_generate_invalid_r(capsys):
-    code, _, err = run(capsys, "generate", "minor", "m=2", "n=3", "r=2")
+    code, _, err = run(capsys, "generate", "minor", "m=2", "n=3", "r=3")
     assert code == 2
-    assert "r" in err
+    assert err == "error: need 1 <= r <= m, got r=3, m=2\n"
+
+
+def test_r_shorthand_accepts_the_minors_sigma_accepts(capsys):
+    # r=m is the minor [1..m | 1..m]; both spellings report it the same way
+    code, stdout, _ = run(capsys, "check", "minor", "m=3", "n=4", "r=3")
+    code_sigma, stdout_sigma, _ = run(capsys, "check", "minor", "m=3", "n=4", "sigma=1,2,3|1,2,3")
+    assert code == code_sigma == 3
+    rep, rep_sigma = json.loads(stdout), json.loads(stdout_sigma)
+    assert rep.pop("instance") == "minor m=3 n=4 r=3"
+    assert rep_sigma.pop("instance") == "minor m=3 n=4 sigma=1,2,3|1,2,3"
+    assert rep == rep_sigma and rep["verdict"] == "INAPPLICABLE"
 
 
 def test_check_minor_json(capsys):
@@ -174,6 +185,8 @@ def test_missing_param_is_usage_error(capsys):
     "argv, line",
     [
         ("check minor m=3 n=2 r=1", "error: need 1 <= m <= n"),
+        ("check minor m=3 n=4 r=0", "error: need 1 <= r <= m, got r=0, m=3"),
+        ("check minor m=3 n=4 r=4", "error: need 1 <= r <= m, got r=4, m=3"),
         ("check polar n=0 t=1", "error: need n >= 1 and t >= 1"),
         ("check polar n=20 t=7", "error: grid size 140 exceeds vertex cap 128"),
         (

@@ -17,6 +17,7 @@ from shellball.homology import (
 )
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
+from shellball.shelling import verify_ball
 from tests.test_complexes import MINOR23, SPHERE23
 from tests.test_properties import pure_complexes
 
@@ -377,6 +378,53 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     table = hochster_betti_table(bd, field=2)
     assert len(calls) == 29  # of 4095 nonempty subsets; the rest span cones
     assert table.entries == unpruned_betti_table(bd, 2).entries
+    calls.clear()
+    hochster_betti_table(bd, field=2, sphere=True)  # the walk stops at |W| = 6
+    assert len(calls) == 10
+
+
+def _certified_boundaries():
+    """Boundaries of every minor and polar ball on a grid of at most 12 points
+    whose ball certificate passes; each is a homology sphere."""
+    balls = [
+        (f"minor {m} {n} {r}", *path_complex(MinorSpec.diagonal(m, n, r)))
+        for m in range(1, 4)
+        for n in range(m, 12 // m + 1)
+        for r in range(1, m + 1)
+    ]
+    balls += [
+        (f"polar {n} {t}", *power_ideal_complex(n, t))
+        for n in range(2, 7)
+        for t in range(2, 12 // n + 1)
+    ]
+    for name, ball, order in balls:
+        bd = boundary_complex(ball)
+        if verify_ball(ball, order).ok and bd.facets:
+            yield f"{name} boundary", bd
+
+
+SPHERES = list(_certified_boundaries())
+
+
+@pytest.mark.parametrize("name,cx", SPHERES, ids=[name for name, _ in SPHERES])
+def test_duality_walk_matches_full_walk(name, cx):
+    assert len(cx.used_vertices) <= 12
+    for field in (0, 2, 3):
+        want = hochster_betti_table(cx, field=field)
+        assert hochster_betti_table(cx, field=field, sphere=True).entries == want.entries, field
+
+
+def test_duality_walk_covers_even_and_odd_vertex_counts():
+    assert {len(cx.used_vertices) % 2 for _, cx in SPHERES} == {0, 1}
+
+
+def test_duality_walk_matches_full_walk_fifteen_vertices():
+    ball, order = path_complex(MinorSpec.diagonal(3, 5, 1))
+    assert verify_ball(ball, order).ok
+    bd = boundary_complex(ball)
+    assert len(bd.used_vertices) == 15
+    want = hochster_betti_table(bd, field=2)
+    assert hochster_betti_table(bd, field=2, sphere=True).entries == want.entries
 
 
 @pytest.mark.parametrize("name,cx", DIFFERENTIAL, ids=[name for name, _ in DIFFERENTIAL])

@@ -97,6 +97,10 @@ def test_minor_spec_validation():
         ("m=3 n=4", "missing parameter r=<int>"),
         ("n=4 r=1", "missing parameter m=<int>"),
         ("m=3 r=1", "missing parameter n=<int>"),
+        ("m=x n=4 r=1", "parameter m must be an integer, got 'x'"),
+        ("m=3 n=4.0 r=1", "parameter n must be an integer, got '4.0'"),
+        ("m=3 n=4 r=", "parameter r must be an integer, got ''"),
+        ("m=x n=4 sigma=1|1", "parameter m must be an integer, got 'x'"),
     ],
 )
 def test_minor_spec_parse_names_malformed_input(text, message):
