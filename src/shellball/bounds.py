@@ -132,8 +132,8 @@ class ConjectureReport:
     d: int
     m: int | None
     e: int | None
-    f: tuple[int, ...]
-    h: tuple[int, ...]
+    f: tuple[int, ...] | None
+    h: tuple[int, ...] | None
     boundary_h: tuple[int, ...] | None
     L: Fraction | None
     U: Fraction | None
@@ -163,8 +163,8 @@ class ConjectureReport:
             "d": self.d,
             "m": self.m,
             "e": self.e,
-            "f": list(self.f),
-            "h": list(self.h),
+            "f": list(self.f) if self.f is not None else None,
+            "h": list(self.h) if self.h is not None else None,
             "boundary_h": list(self.boundary_h) if self.boundary_h is not None else None,
             "L": _rat(self.L),
             "U": _rat(self.U),
@@ -205,20 +205,19 @@ def check_conjecture(
     verdict to INAPPLICABLE with all computable data still reported.
     The ball's h (hence f, and m from f) is read off a passing shelling
     certificate and its minimal inside faces off a passing ball certificate;
-    only an order that fails falls back to the ball's face lattice.
+    the ball's face lattice is never built, so an order that fails to shell
+    leaves f, h, m and everything derived from m null.
     """
     check_field(field_char)
-    if not ball.is_pure:
-        raise ValueError("not pure")
     cert = verify_ball(ball, order)
     d = ball.dim + 1
     n = len(ball.used_vertices)
+    f = h = m = e = bh = on_boundary = A1 = A2 = m_in_range = L = U = None
+    table = L_betti = U_betti = None
     if cert.shelling.ok:
         h = certified_h(ball, cert.shelling)
         f = cxmod.f_from_h(h, d)
-    else:
-        f = cxmod.f_vector(ball)
-        h = cxmod.h_vector(f, d)
+        m = cxmod.smallest_nonface_size(f)
     boundary = cxmod.boundary_complex(ball)
     reasons: list[str] = []
     if not cert.shelling.ok:
@@ -226,9 +225,6 @@ def check_conjecture(
     elif not cert.ok:
         reasons.append(f"ball certification failed: {cert.reason}")
 
-    m = cxmod.smallest_nonface_size(f)
-    e = bh = on_boundary = A1 = A2 = m_in_range = L = U = None
-    table = L_betti = U_betti = None
     if not boundary.facets:
         reasons.append("no boundary")
     else:
@@ -243,18 +239,14 @@ def check_conjecture(
         if not on_boundary:
             reasons.append("interior vertex: not every vertex lies on the boundary")
 
-        if m is None:
-            reasons.append("m undefined (no nonfaces: full simplex)")
-        else:
+        if m is not None:
             params = BoundParams(n=n, d=d, m=m)
             m_in_range = params.m_in_range
             L, U = closed_form_bounds(params)
             if not m_in_range:
                 reasons.append(f"m out of range: need 2 <= {m} <= {(d + 1) // 2}")
-            if cert.ok:
-                inside = certified_inside_faces(ball, cert)
-            else:
-                inside = cxmod.minimal_inside_faces(ball, boundary)
+            # m implies a shelling; one failing the ball check has no boundary or raised above
+            inside = certified_inside_faces(ball, cert)
             inside_dims = {len(g) - 1 for g in inside}
             A1 = (d - m in inside_dims) and not any(dd < m - 1 for dd in inside_dims)
             if not A1:
@@ -262,6 +254,8 @@ def check_conjecture(
             A2 = vector_profile(bh).unimodal
             if not A2:
                 reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
+        elif f is not None:
+            reasons.append("m undefined (no nonfaces: full simplex)")
 
         if len(boundary.used_vertices) <= max_vertices:
             # a passing ball certificate makes the boundary a homology sphere

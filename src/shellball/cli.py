@@ -41,12 +41,16 @@ class UsageError(Exception):
     pass
 
 
-def _params(tokens: list[str]) -> dict[str, str]:
+def _params(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise UsageError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k not in keys:
+            raise UsageError(f"unknown parameter {k!r} (want {', '.join(keys)})")
+        if k in out:
+            raise UsageError(f"parameter {k} given twice")
         out[k] = v
     return out
 
@@ -72,11 +76,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_instance(kind: str, kv: dict[str, str], max_facets: int):
+def _build_instance(kind: str, tokens: list[str], max_facets: int):
     """Returns (complex, shelling order, instance name)."""
     if kind == "minor":
+        kv = _params(tokens, ("m", "n", "r", "sigma"))
         m, n = _int_param(kv, "m"), _int_param(kv, "n")
         if "sigma" in kv:
+            if "r" in kv:
+                raise UsageError("minor takes r or sigma, not both")
             spec = paths.MinorSpec.parse(f"m={m} n={n} sigma={kv['sigma']}")
             name = f"minor m={m} n={n} sigma={kv['sigma']}"
         else:
@@ -85,16 +92,15 @@ def _build_instance(kind: str, kv: dict[str, str], max_facets: int):
             name = f"minor m={m} n={n} r={r}"
         cx, order = paths.path_complex(spec, max_facets=max_facets)
         return cx, order, name
-    if kind == "polar":
-        n, t = _int_param(kv, "n"), _int_param(kv, "t")
-        cx, order = polarization.power_ideal_complex(n, t)
-        return cx, order, f"polar n={n} t={t}"
-    raise UsageError(f"unknown kind {kind!r} (want minor or polar)")
+    # argparse admits only minor and polar
+    kv = _params(tokens, ("n", "t"))
+    n, t = _int_param(kv, "n"), _int_param(kv, "t")
+    cx, order = polarization.power_ideal_complex(n, t)
+    return cx, order, f"polar n={n} t={t}"
 
 
 def cmd_generate(args) -> int:
-    kv = _params(args.params)
-    cx, order, name = _build_instance(args.kind, kv, args.max_facets)
+    cx, order, name = _build_instance(args.kind, args.params, args.max_facets)
     out_path = args.out or (name.replace(" ", "_").replace("=", "") + ".cx")
     cxmod.write_complex_file(cx, out_path)
     meta = {
@@ -116,7 +122,7 @@ def _report_text(rep) -> str:
     lines = [
         f"instance: {rep.instance}",
         f"n={rep.n} d={rep.d} m={rep.m} e={rep.e}",
-        f"h: {list(rep.h)}",
+        f"h: {list(rep.h) if rep.h is not None else None}",
         f"boundary h: {list(rep.boundary_h) if rep.boundary_h is not None else None}",
         f"closed-form bounds: L={bnd._rat(rep.L)} U={bnd._rat(rep.U)}",
         f"betti bounds: L={bnd._rat(rep.L_betti)} U={bnd._rat(rep.U_betti)}",
@@ -153,8 +159,7 @@ def cmd_check(args) -> int:
     else:
         if not args.kind:
             raise UsageError("check needs a kind (minor|polar) or --file")
-        kv = _params(args.params)
-        cx, order, name = _build_instance(args.kind, kv, args.max_facets)
+        cx, order, name = _build_instance(args.kind, args.params, args.max_facets)
     rep = bnd.check_conjecture(
         cx, order, field_char=args.field, max_vertices=args.max_vertices, instance=name
     )
@@ -178,7 +183,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    kv = _params(args.params)
+    kv = _params(args.params, ("m", "n"))
     m, n = _int_param(kv, "m"), _int_param(kv, "n")
     verdict = duality.verify_dual_theorem(m, n)
     _emit(canonical_json(verdict.to_json_dict()), args.out)
@@ -186,7 +191,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_corners(args) -> int:
-    kv = _params(args.params)
+    kv = _params(args.params, ("m", "n", "r"))
     m, n, r = _int_param(kv, "m"), _int_param(kv, "n"), _int_param(kv, "r")
     facets = paths.enumerate_facets(paths.MinorSpec.diagonal(m, n, r), args.max_facets)
     spectrum = paths.corner_spectrum(m, n, r, facets)
@@ -210,7 +215,7 @@ def cmd_corners(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
-    kv = _params(args.params)
+    kv = _params(args.params, ("n", "d"))
     n, d = _int_param(kv, "n"), _int_param(kv, "d")
     h = bnd.cyclic_h(n, d)
     mult = sum(h)

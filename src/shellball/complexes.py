@@ -330,17 +330,14 @@ def boundary_complex(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.n, bnd, cx.labels)
 
 
-def minimal_inside_faces(
-    cx: SimplicialComplex, boundary: SimplicialComplex | None = None
-) -> list[tuple[int, ...]]:
+def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     """Inclusion-minimal faces of the complex not lying on its boundary.
 
     These index the generators of the canonical ideal of a ball; their
     cardinalities are the generator degrees.  They are the minimal sets
     outside the boundary's face lattice that are faces of the complex.
     """
-    if boundary is None:
-        boundary = boundary_complex(cx)
+    boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
     out = _minimal_outside(boundary.faces_by_size(), cx.used_mask, within=cx.faces_by_size())
@@ -370,8 +367,9 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
 
     The order lists canonical facet indices in the sequence the file gave
     them (duplicates and absorbed facets dropped), which a caller can use
-    as a shelling-order candidate.  A malformed line raises ValueError
-    naming its line number in the file and the expected form.
+    as a shelling-order candidate.  A malformed line, or a file that ends
+    before its first facet line, raises ValueError naming its line number
+    in the file and the expected form.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
     (i, head), *rest = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")] or [(1, "")]
@@ -380,7 +378,12 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
     n = int(head[2:])
     labels = None
     if rest and rest[0][1].startswith("labels="):
-        labels = rest.pop(0)[1][len("labels=") :].split(",")
+        i, ln = rest.pop(0)
+        labels = ln[len("labels=") :].split(",")
+        if len(labels) != n or len(set(labels)) != n:
+            raise ValueError(f"line {i}: expected {n} distinct comma-separated labels, got {ln!r}")
+    if not rest:
+        raise ValueError(f"line {len(lines) + 1}: expected a facet line, got end of file")
     facets = []
     for i, ln in rest:
         if not all(tok.isdecimal() and int(tok) < n for tok in ln.split()):

@@ -1,5 +1,6 @@
 import csv
 import io
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -164,26 +165,45 @@ def spy_lattices(monkeypatch) -> list:
     return asked
 
 
-@pytest.mark.parametrize("instance", [("minor", 3, 4, 2), ("polar", 3, 3)])
-def test_certified_ball_never_builds_its_face_lattice(monkeypatch, instance):
-    if instance[0] == "minor":
-        cx, order = path_complex(MinorSpec.diagonal(*instance[1:]))
-    else:
-        cx, order = power_ideal_complex(*instance[1:])
+def _reordered(instance, reorder):
+    cx, order = instance
+    return cx, reorder(list(order))
+
+
+@pytest.mark.parametrize(
+    "cx, order, shells",
+    [
+        (*path_complex(MinorSpec.diagonal(3, 4, 2)), True),
+        (*power_ideal_complex(3, 3), True),
+        (build_complex(MINOR23, 6), [0, 2, 1], False),
+        (
+            *_reordered(
+                path_complex(MinorSpec.diagonal(4, 5, 2)),
+                lambda order: random.Random(0).sample(order, len(order)),
+            ),
+            False,
+        ),
+        (*_reordered(power_ideal_complex(3, 3), lambda order: order[::-1]), False),
+    ],
+    ids=[
+        "minor 3 4 2",
+        "polar 3 3",
+        "minor23 failing order",
+        "minor 4 5 2 shuffled",
+        "polar 3 3 reversed",
+    ],
+)
+def test_check_never_builds_the_ball_face_lattice(monkeypatch, cx, order, shells):
     asked = spy_lattices(monkeypatch)
     rep = check_conjecture(cx, order)
-    assert rep.ball_pass and rep.verdict == "PASS"
+    assert rep.shelling_pass is shells
+    # only the boundary's lattice is built, whatever the order
     assert asked and not any(c is cx for c in asked)
-
-
-def test_failed_shelling_falls_back_to_the_lattice(monkeypatch):
-    cx = build_complex(MINOR23, 6)
-    asked = spy_lattices(monkeypatch)
-    rep = check_conjecture(cx, [0, 2, 1])
-    assert not rep.shelling_pass and rep.certificate.shelling.failed_step == 1
-    assert any(c is cx for c in asked)
-    assert (rep.f, rep.h, rep.A1) == ((6, 12, 10, 3), (1, 2, 0, 0, 0), True)
-    assert rep.verdict == "INAPPLICABLE"
+    if shells:
+        assert rep.ball_pass and rep.verdict == "PASS"
+    else:
+        assert rep.verdict == "INAPPLICABLE" and rep.reasons[0].startswith("shelling failed")
+        assert (rep.f, rep.h, rep.m, rep.L, rep.U, rep.m_in_range, rep.A1, rep.A2) == (None,) * 8
 
 
 def spy_leaves(monkeypatch) -> list:

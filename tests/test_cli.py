@@ -99,6 +99,23 @@ def test_generate_then_check_roundtrip_uses_sidecar_order(tmp_path, capsys):
     assert rep["verdict"] == "PASS" and rep["ball_pass"]
 
 
+def test_sidecar_order_that_fails_to_shell_reports_null_ball_data(tmp_path, capsys):
+    path = tmp_path / "ball.cx"
+    write_complex_file(build_complex(MINOR23, 6), path)
+    (tmp_path / "ball.cx.meta.json").write_text(json.dumps({"shelling_order": [0, 2, 1]}))
+    code, stdout, _ = run(capsys, "check", "--file", str(path))
+    assert code == 3
+    rep = json.loads(stdout)
+    assert (rep["f"], rep["h"], rep["m"], rep["A1"]) == (None, None, None, None)
+    assert not rep["shelling_pass"] and rep["verdict"] == "INAPPLICABLE"
+    code, stdout, _ = run(capsys, "check", "--file", str(path), "--format", "csv")
+    assert code == 3
+    assert stdout.splitlines()[1] == f"file {path},6,4,,8,,,,,INAPPLICABLE"
+    code, stdout, _ = run(capsys, "check", "--file", str(path), "--format", "text")
+    assert code == 3
+    assert "\nh: None\n" in stdout
+
+
 @pytest.mark.parametrize(
     "sidecar, complaint",
     [
@@ -204,6 +221,29 @@ def test_library_value_errors_exit_2(tmp_path, monkeypatch, capsys, argv, line):
     assert (code, stdout, err) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            "check minor m=2 n=3 r=1 feild=2",
+            "error: unknown parameter 'feild' (want m, n, r, sigma)",
+        ),
+        ("check minor m=3 n=4 r=1 sigma=1,2|1,2", "error: minor takes r or sigma, not both"),
+        ("check minor m=2 n=3 r=1 r=2", "error: parameter r given twice"),
+        ("check polar n=2 t=2 r=5", "error: unknown parameter 'r' (want n, t)"),
+        ("generate polar n=2 t=2 r=5", "error: unknown parameter 'r' (want n, t)"),
+        ("corners m=4 n=5 r=1 x=1", "error: unknown parameter 'x' (want m, n, r)"),
+        ("cyclic n=8 d=5 q=1", "error: unknown parameter 'q' (want n, d)"),
+        ("dual m=2 n=3 r=9", "error: unknown parameter 'r' (want m, n)"),
+    ],
+)
+def test_stray_parameters_are_usage_errors(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)  # generate would write into the working directory
+    code, stdout, err = run(capsys, *argv.split())
+    assert (code, stdout, err) == (2, "", line + "\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_kind_with_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "ball.cx"
     write_complex_file(build_complex(MINOR23, 6), path)
@@ -232,6 +272,15 @@ def test_malformed_sigma_names_its_form(capsys, sigma):
             "line 5: expected integer vertex indices below n=4, got '1 9'",
         ),
         ("n=4\n0 -1\n", "line 2: expected integer vertex indices below n=4, got '0 -1'"),
+        (
+            "n=3\nlabels=a,b\n0 1 2\n",
+            "line 2: expected 3 distinct comma-separated labels, got 'labels=a,b'",
+        ),
+        (
+            "# ball\nn=3\nlabels=a,b,a\n0 1 2\n",
+            "line 3: expected 3 distinct comma-separated labels, got 'labels=a,b,a'",
+        ),
+        ("n=3\nlabels=a,b,c\n# no facets\n", "line 4: expected a facet line, got end of file"),
     ],
 )
 def test_malformed_file_names_its_line(tmp_path, capsys, text, line):

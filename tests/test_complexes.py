@@ -225,7 +225,7 @@ def test_minimal_inside_faces_match_seen_set_oracle():
             continue
         found = seen_set_minimal_outside(bd.faces_by_size(), cx.used_mask, cx.faces_by_size())
         expected = [vertices_of(g) for g in sorted(found, key=_canonical_key)]
-        assert minimal_inside_faces(cx, bd) == expected, cx
+        assert minimal_inside_faces(cx) == expected, cx
         checked += 1
     assert checked >= 50
 

@@ -264,3 +264,17 @@ def test_smallest_nonface_size_from_certified_f(case):
     f = f_from_h(certified_h(cx, verify_shelling(cx, order)), cx.dim + 1)
     m = smallest_nonface_size(f)
     assert m == lattice_smallest_nonface_size(cx) == subset_smallest_nonface_size(cx)
+
+
+@given(pure_complexes(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_report_reads_f_and_inside_faces_only_off_certificates(cx, data):
+    order = data.draw(st.permutations(range(len(cx.facets))))
+    try:
+        rep = check_conjecture(cx, order)
+    except ValueError as exc:
+        # the one raise a well-formed pure complex may meet: a ridge in three facets
+        assert str(exc).startswith("not a pseudomanifold"), exc
+        return
+    assert (rep.f is not None) == (rep.h is not None) == rep.shelling_pass
+    assert rep.A1 is None or rep.ball_pass
