@@ -349,7 +349,15 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
 
 
 def complex_to_text(cx: SimplicialComplex) -> str:
-    """Serialize: "n=<int>", optional "labels=<comma-separated>", one facet per line."""
+    """Serialize: "n=<int>", optional "labels=<comma-separated>", one facet per line.
+
+    The format has no line for an empty facet, so the void complex and the
+    empty complex (only the empty face) raise ValueError.
+    """
+    if not cx.facets:
+        raise ValueError("the void complex has no facet, and the text format needs a facet line")
+    if cx.facets == (0,):
+        raise ValueError("the text format has no line for an empty facet")
     lines = [f"n={cx.n}"]
     if cx.labels is not None:
         lines.append("labels=" + ",".join(cx.labels))
@@ -391,17 +399,14 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
         facets.append([int(tok) for tok in ln.split()])
     cx = build_complex(facets, n, labels)
     pos = {m: k for k, m in enumerate(cx.facets)}
-    order: list[int] = []
-    for fs in facets:
-        k = pos.get(mask_of(fs))
-        if k is not None and k not in order:
-            order.append(k)
-    return cx, order
+    masks = (mask_of(fs) for fs in facets)
+    return cx, list(dict.fromkeys(pos[m] for m in masks if m in pos))
 
 
 def write_complex_file(cx: SimplicialComplex, path) -> None:
+    text = complex_to_text(cx)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(complex_to_text(cx))
+        fh.write(text)
 
 
 def read_complex_file(path) -> SimplicialComplex:

@@ -10,6 +10,14 @@ exactly one earlier facet and that at least one ridge of the new facet is
 left unglued; gluing along all ridges would close the complex up to a
 sphere or worse.
 
+The certificate is read off a ridge table built as the order is walked:
+each ridge of an earlier facet maps to the increasing positions of the
+facets holding it, and each vertex to the bitset of earlier positions
+holding it.  A step then takes d lookups for its glued ridges, their
+holders and R_i, and one AND of |R_i| bitsets for "R_i lies in no earlier
+facet".  Only a failing step intersects the new facet with every earlier
+facet, to name the reason.
+
 A passing certificate also determines the h-vector and the minimal inside
 faces, so neither needs the face lattice.  The glued ridges of step i are
 the F_i - v for v in R_i, so |R_i| is their number and h_k counts the steps
@@ -113,29 +121,29 @@ def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
     """Check that the given facet order is a shelling, step by step."""
     order = _check_order(cx, order)
     ordered = [cx.facets[k] for k in order]
+    holders: dict[int, list[int]] = {}  # ridge of an earlier facet -> its holders' positions
+    earlier = [0] * cx.n  # per vertex, the bitset of positions of earlier facets holding it
     steps: list[ShellingStep] = []
-    for i in range(1, len(order)):
-        fi = ordered[i]
-        ridge_size = fi.bit_count() - 1
-        inters = [fi & g for g in ordered[:i]]
-        glued: dict[int, list[int]] = {}
-        restriction = 0
-        for k, m in enumerate(inters):
+    for i, fi in enumerate(ordered):
+        vs = vertices_of(fi)
+        if i:
             # for points the ridge is the empty face, glued to every earlier facet
-            if m.bit_count() == ridge_size:
-                glued.setdefault(m, []).append(k)
-                restriction |= fi ^ m
-        if not restriction or any(restriction & ~m == 0 for m in inters):
-            return ShellingCertificate(
-                order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
-            )
-        steps.append(
-            ShellingStep(
-                position=i,
-                facet_index=order[i],
-                glued=[GluedRidge(ridge=m, in_earlier=tuple(glued[m])) for m in sorted(glued)],
-            )
-        )
+            glued = []
+            common = -1  # earlier facets holding R_i; an empty R_i lies in all of them
+            for v in reversed(vs):  # a larger v leaves a smaller ridge mask
+                ridge = fi ^ (1 << v)
+                if ridge in holders:
+                    glued.append(GluedRidge(ridge=ridge, in_earlier=tuple(holders[ridge])))
+                    common &= earlier[v]
+            if common:
+                inters = [fi & g for g in ordered[:i]]
+                return ShellingCertificate(
+                    order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
+                )
+            steps.append(ShellingStep(position=i, facet_index=order[i], glued=glued))
+        for v in vs:
+            holders.setdefault(fi ^ (1 << v), []).append(i)
+            earlier[v] |= 1 << i
     return ShellingCertificate(order, steps, ok=True)
 
 

@@ -23,6 +23,7 @@ from shellball.complexes import (
     smallest_nonface_size,
     vector_profile,
     vertices_of,
+    write_complex_file,
 )
 from shellball.duality import alexander_dual
 from shellball.paths import MinorSpec, path_complex
@@ -344,6 +345,31 @@ def test_text_reader_tolerates_order_and_tracks_it():
     cx, order = complex_from_text_with_order(text)
     assert [vertices_of(f) for f in cx.facets] == [(0, 1), (2, 3)]
     assert order == [1, 0]
+
+
+def test_text_reader_order_skips_duplicate_and_absorbed_lines():
+    # canonical facets: {0,1} -> 0, {0,4} -> 1, {2,3,4} -> 2; {2,3} is absorbed
+    text = "n=5\n2 3 4\n0 1\n2 3\n0 1\n0 4\n2 3 4\n"
+    cx, order = complex_from_text_with_order(text)
+    assert [vertices_of(f) for f in cx.facets] == [(0, 1), (0, 4), (2, 3, 4)]
+    assert order == [2, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "cx, message",
+    [
+        (SimplicialComplex(3, []), "void complex"),
+        (build_complex([set()], 3), "no line for an empty facet"),
+    ],
+    ids=["void", "only the empty face"],
+)
+def test_text_writer_refuses_complexes_without_a_facet_line(tmp_path, cx, message):
+    with pytest.raises(ValueError, match=message):
+        complex_to_text(cx)
+    path = tmp_path / "out.cx"
+    with pytest.raises(ValueError, match=message):
+        write_complex_file(cx, path)
+    assert not path.exists()
 
 
 def test_text_reader_rejects_garbage():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from shellball import paths
 from shellball.complexes import (
     boundary_complex,
     f_vector,
@@ -16,6 +17,7 @@ from shellball.complexes import (
 from shellball.paths import (
     MinorSpec,
     PathFamily,
+    _successors,
     admits_family_flip,
     boundary_via_corners,
     canonical_generators,
@@ -349,10 +351,62 @@ def test_orders_match_matrix_oracle(text):
         assert random_shelling_orders(fams, 3, seed) == expected
 
 
+def sweep_successors(facets):
+    """Oracle for `_successors`: `facet_leq` on every ordered pair."""
+    return [
+        [k for k, g in enumerate(facets) if k != j and facet_leq(f, g)]
+        for j, f in enumerate(facets)
+    ]
+
+
+@pytest.mark.parametrize("text", ["m=5 n=6 r=2", "m=5 n=7 r=1"] + ORDER_SPECS[len(SMALL_SPECS) :])
+def test_successors_match_facet_leq_sweep(text):
+    fams = enumerate_facets(MinorSpec.parse(text))
+    assert _successors(fams) == sweep_successors(fams)
+
+
+def test_no_facets_have_an_empty_order():
+    assert shelling_order([]) == []
+    assert random_shelling_orders([], 2, seed=0) == [[], []]
+
+
 def test_repeated_facet_is_a_cycle():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
     with pytest.raises(ValueError, match="cycle detected"):
         shelling_order(fams + fams[:1])
+
+
+def test_mixed_specs_are_refused():
+    fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
+    fams += enumerate_facets(MinorSpec.diagonal(2, 2, 1))
+    with pytest.raises(ValueError, match="mismatched specs"):
+        shelling_order(fams)
+    with pytest.raises(ValueError, match="mismatched specs"):
+        random_shelling_orders(fams, 1, seed=0)
+
+
+def spy_facet_leq(monkeypatch) -> list:
+    """Record every pair that the facet order compares with `facet_leq`."""
+    pairs = []
+    original = paths.facet_leq
+
+    def facet_leq_spy(f1, f2):
+        pairs.append((f1, f2))
+        return original(f1, f2)
+
+    monkeypatch.setattr(paths, "facet_leq", facet_leq_spy)
+    return pairs
+
+
+@pytest.mark.parametrize("text", ["m=4 n=5 r=2", "m=4 n=5 sigma=1,2|2,4"])
+def test_facet_order_compares_no_pairs(monkeypatch, text):
+    spec = MinorSpec.parse(text)
+    fams = enumerate_facets(spec)
+    compared = spy_facet_leq(monkeypatch)
+    path_complex(spec, fams)
+    shelling_order(fams)
+    random_shelling_orders(fams, 3, seed=0)
+    assert compared == []
 
 
 def test_canonical_generators_minor23():

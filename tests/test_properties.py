@@ -13,6 +13,8 @@ from shellball.complexes import (
     boundary_complex,
     boundary_h_from_h,
     build_complex,
+    complex_from_text_with_order,
+    complex_to_text,
     f_from_h,
     f_vector,
     h_vector,
@@ -53,6 +55,15 @@ def pure_complexes(draw, max_n=7):
         for _ in range(n_facets)
     ]
     return build_complex(facets, n)
+
+
+@given(complexes(), st.booleans())
+def test_text_round_trip_of_random_complexes(cx, labelled):
+    if labelled:
+        cx = SimplicialComplex(cx.n, cx.facets, [f"x{v}" for v in range(cx.n)])
+    back, order = complex_from_text_with_order(complex_to_text(cx))
+    assert back == cx and back.labels == cx.labels
+    assert order == list(range(len(cx.facets)))
 
 
 @given(complexes())

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellball.complexes import boundary_complex, build_complex, vertices_of
-from shellball.paths import MinorSpec, path_complex
+from shellball.complexes import boundary_complex, build_complex, mask_of, vertices_of
+from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import (
     GluedRidge,
@@ -112,6 +114,14 @@ def test_ridge_in_two_earlier_facets_fails_ball():
     # two triangles glued along an edge, then a third on top of the same edge
     cx = build_complex([{0, 1, 2}, {0, 1, 3}], 4)
     assert verify_ball(cx, [0, 1]).ok
+    cx = build_complex([{0, 1, 2}, {0, 1, 3}, {0, 1, 4}], 5)
+    cert = verify_ball(cx, [0, 1, 2])
+    assert cert.shelling.to_json_dict() == pairwise_antichain_shelling(cx, [0, 1, 2]).to_json_dict()
+    assert [g.to_json_dict() for g in cert.shelling.steps[-1].glued] == [
+        {"ridge": [0, 1], "in_earlier": [0, 1]}
+    ]
+    assert not cert.ok and cert.failed_step == 2
+    assert cert.reason == "glued ridge (0, 1) lies in 2 earlier facets (want exactly 1)"
 
 
 def test_order_validation():
@@ -201,3 +211,39 @@ def test_verify_shelling_matches_pairwise_oracle(case):
     cx, order = case
     want = pairwise_antichain_shelling(cx, order).to_json_dict()
     assert verify_shelling(cx, order).to_json_dict() == want
+
+
+def oracle_orders(order):
+    """The given order, a shuffled one and the reversed one."""
+    order = list(order)
+    return [order, random.Random(0).sample(order, len(order)), order[::-1]]
+
+
+def ridge_table_cases():
+    for params in [(4, 5, 2), (5, 7, 1)]:
+        spec = MinorSpec.diagonal(*params)
+        fams = enumerate_facets(spec)
+        cx, order = path_complex(spec, fams)
+        pos = {mask: k for k, mask in enumerate(cx.facets)}
+        seeded = [
+            [pos[fam.mask] for fam in random_shelling_orders(fams, 1, seed)[0]]
+            for seed in (0, 1, 7)
+        ]
+        yield pytest.param(cx, oracle_orders(order) + seeded, id=f"minor {params}")
+    cx, order = power_ideal_complex(4, 3)
+    seeded = [random.Random(seed).sample(order, len(order)) for seed in (1, 7)]
+    yield pytest.param(cx, oracle_orders(order) + seeded, id="polar (4, 3)")
+    points = build_complex([{v} for v in range(4)], 4)
+    yield pytest.param(points, oracle_orders(range(4)), id="points")
+    yield pytest.param(build_complex([{0, 1, 2}], 3), [[0]], id="one facet")
+    # the last facet glues along {1, 2} only, and R = {0} lies in the facet {0, 3, 4}
+    cx = build_complex([{1, 2, 3}, {2, 3, 4}, {0, 3, 4}, {0, 1, 2}], 5)
+    order = [cx.facets.index(mask_of(f)) for f in [(1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 2)]]
+    yield pytest.param(cx, [order], id="restriction face in an earlier facet")
+
+
+@pytest.mark.parametrize("cx, orders", ridge_table_cases())
+def test_ridge_table_matches_pairwise_oracle(cx, orders):
+    for order in orders:
+        want = pairwise_antichain_shelling(cx, order).to_json_dict()
+        assert verify_shelling(cx, order).to_json_dict() == want
