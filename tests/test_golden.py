@@ -14,6 +14,11 @@ are deterministic:
 * seeded random pure complexes over Q, GF(2) and GF(3);
 * a simplex (m undefined) and a sphere (no boundary).
 
+It also maps each ``shellball`` command line in `cli_cases` to its exit code,
+the sha256 of its stdout and its exact stderr.  Each command runs in a fresh
+directory holding the files its case names, so relative paths and the
+files that ``generate`` writes stay put.
+
 The data file changes only with a named report contract change.  Rewrite it
 with ``PYTHONPATH=src python tests/test_golden.py --write``.
 """
@@ -25,15 +30,18 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from shellball.bounds import CSV_FIELDS, check_conjecture
-from shellball.cli import _report_text, canonical_json
+from shellball.cli import _report_text, canonical_json, main
 from shellball.complexes import build_complex
 from shellball.homology import DEFAULT_VERTEX_CAP
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
@@ -143,10 +151,145 @@ def groups():
     return out
 
 
+BALL = "n=6\n0 1 2 3\n1 2 3 4\n2 3 4 5\n"
+SPHERE = "n=6\n0 1 2\n0 1 3\n0 2 3\n1 2 4\n1 3 4\n2 3 5\n2 4 5\n3 4 5\n"
+THREE_TRIANGLES = "n=5\n0 1 2\n0 1 3\n0 1 4\n"
+
+
+def _with_sidecar(sidecar) -> dict[str, str]:
+    return {"ball.cx": BALL, "ball.cx.meta.json": json.dumps(sidecar)}
+
+
+@functools.cache
+def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
+    """Golden key -> (argv, files written before the run)."""
+    runs = [
+        *(
+            f"check minor m=3 n=4 {p} --format {fmt}"
+            for p in ("r=2", "sigma=01,2|1,3", "sigma=1,3|2,4")
+            for fmt in ("json", "csv", "text")
+        ),
+        "check minor m=3 n=4 r=3",
+        "check minor m=3 n=4 sigma=1,2,3|1,2,3",
+        "check minor m=2 n=3 r=1 --field 2 --seed 5",
+        "check minor m=3 n=4 r=2 --max-vertices 4 --format text",
+        "check polar n=3 t=2",
+        "check polar n=2 t=2 --format csv",
+        "check polar n=3 t=3 --format text",
+        "generate minor m=2 n=3 r=1",
+        "generate minor m=3 n=4 sigma=1,3|2,4 --out delta.cx",
+        "generate polar n=2 t=2",
+        "dual m=3 n=4",
+        "corners m=4 n=5 r=2",
+        "cyclic n=8 d=5",
+        "cyclic n=7 d=4",
+        # every error command line of tests/test_cli.py
+        "generate minor m=2 n=3 r=3",
+        "dual m=3 n=4 --format csv",
+        "cyclic n=8 d=5 --max-facets 10",
+        "corners m=4 n=5 r=2 --max-vertices 4",
+        "generate polar n=2 t=2 --seed 1",
+        "check minor m=2",
+        "check minor m=3 n=2 r=1",
+        "check minor m=3 n=4 r=0",
+        "check minor m=3 n=4 r=4",
+        "check polar n=0 t=1",
+        "check polar n=20 t=7",
+        "generate minor m=3 n=4 r=1 --max-facets 0",
+        "dual m=1 n=3",
+        "corners m=3 n=4 r=3",
+        "cyclic n=5 d=5",
+        "check minor m=2 n=3 r=1 feild=2",
+        "check minor m=3 n=4 r=1 sigma=1,2|1,2",
+        "check minor m=2 n=3 r=1 r=2",
+        "check polar n=2 t=2 r=5",
+        "generate polar n=2 t=2 r=5",
+        "corners m=4 n=5 r=1 x=1",
+        "cyclic n=8 d=5 q=1",
+        "dual m=2 n=3 r=9",
+        *(
+            f"check minor m=3 n=4 sigma={s}"
+            for s in ("1,2", "1|2|3", "a|b", "|", "1;2|1,3")
+        ),
+        # missing and non-integer parameters
+        "check minor m=3 n=4",
+        "check minor n=4 r=1",
+        "check minor m=3 r=1",
+        "check minor m=x n=4 r=1",
+        "check minor m=3 n=4.0 r=1",
+        "check minor m=3 n=4 r=",
+        "check minor m=x n=4 sigma=1|1",
+    ]
+    cases = {f"shellball {argv}": (argv, {}) for argv in runs}
+    files = [
+        ("check --file ball.cx", {"ball.cx": BALL}),
+        ("check --file ball.cx --format text", {"ball.cx": BALL}),
+        ("check --file sphere.cx", {"sphere.cx": SPHERE}),
+        ("check --file three.cx", {"three.cx": THREE_TRIANGLES}),
+        ("check --file bad.cx", {"bad.cx": "n=5\n0 1 2\n3 4\n"}),
+        ("check polar n=3 t=2 --file ball.cx", {"ball.cx": BALL}),
+        *(
+            (f"check --file ball.cx{fmt}", _with_sidecar({"shelling_order": [0, 2, 1]}))
+            for fmt in ("", " --format csv", " --format text")
+        ),
+        *(
+            ("check --file ball.cx", _with_sidecar(sidecar))
+            for sidecar in (
+                [0, 1, 2],
+                {"shelling_order": [0, "a", 2]},
+                {"shelling_order": [0, 1]},
+                {"shelling_order": [0, 0, 1]},
+            )
+        ),
+        *(
+            ("check --file bad.cx", {"bad.cx": text})
+            for text in (
+                "n=abc\n0 1\n",
+                "n=-1\n0\n",
+                "# ball\n0 1\n",
+                "",
+                "n=3\n0 1\n0 x\n",
+                "# ball\nn=4\n\n0 1\n1 9\n",
+                "n=4\n0 -1\n",
+                "n=3\nlabels=a,b\n0 1 2\n",
+                "# ball\nn=3\nlabels=a,b,a\n0 1 2\n",
+                "n=3\nlabels=a,b,c\n# no facets\n",
+            )
+        ),
+    ]
+    for argv, written in files:
+        listing = ", ".join(f"{name}={text!r}" for name, text in written.items())
+        cases[f"shellball {argv} [{listing}]"] = (argv, written)
+    return cases
+
+
+def run_cli(argv: str, files: dict[str, str]) -> dict:
+    """Run ``shellball <argv>`` in a fresh directory holding ``files``."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv.split())
+        finally:
+            os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+    return {"exit": code, "stdout": _sha(out.getvalue()), "stderr": err.getvalue()}
+
+
 def compute_all() -> dict:
     out = {}
     for name, build in groups().items():
         out.update(_runs(name, build))
+    for key, (argv, files) in cli_cases().items():
+        out[key] = run_cli(argv, files)
     return out
 
 
@@ -162,8 +305,13 @@ def test_reports_match_golden(name):
     assert got == {key: golden.get(key) for key in got}
 
 
+@pytest.mark.parametrize("key", list(cli_cases()))
+def test_cli_matches_golden(key):
+    assert run_cli(*cli_cases()[key]) == _load().get(key)
+
+
 def test_golden_file_lists_exactly_the_corpus():
-    keys = set()
+    keys = set(cli_cases())
     for name, build in groups().items():
         try:
             _, runs = build()
