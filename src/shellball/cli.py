@@ -84,7 +84,11 @@ def _build_instance(kind: str, tokens: list[str], max_facets: int):
         if "sigma" in kv:
             if "r" in kv:
                 raise UsageError("minor takes r or sigma, not both")
-            spec = paths.MinorSpec.parse(f"m={m} n={n} sigma={kv['sigma']}")
+            try:
+                rows, cols = (tuple(map(int, half.split(","))) for half in kv["sigma"].split("|"))
+            except ValueError:
+                raise UsageError(f"expected sigma=<a1,..|b1,..>, got sigma={kv['sigma']}") from None
+            spec = paths.MinorSpec(m, n, rows, cols)
             name = f"minor m={m} n={n} sigma={kv['sigma']}"
         else:
             r = _int_param(kv, "r")

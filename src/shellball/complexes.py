@@ -407,8 +407,3 @@ def write_complex_file(cx: SimplicialComplex, path) -> None:
     text = complex_to_text(cx)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def read_complex_file(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return complex_from_text(fh.read())

@@ -62,36 +62,6 @@ class MinorSpec:
         idx = tuple(range(1, r + 1))
         return cls(m, n, idx, idx)
 
-    @classmethod
-    def parse(cls, text: str) -> "MinorSpec":
-        """Parse "m=<int> n=<int> sigma=<a1,..|b1,..>" or the shorthand "r=<int>"."""
-        kv = {}
-        for tok in text.split():
-            if "=" not in tok:
-                raise ValueError(f"bad token {tok!r}")
-            k, v = tok.split("=", 1)
-            kv[k] = v
-        for key in ("m", "n") if "sigma" in kv else ("m", "n", "r"):
-            if key not in kv:
-                raise ValueError(f"missing parameter {key}=<int>")
-
-        def integer(key: str) -> int:
-            try:
-                return int(kv[key])
-            except ValueError:
-                raise ValueError(f"parameter {key} must be an integer, got {kv[key]!r}") from None
-
-        m, n = integer("m"), integer("n")
-        if "sigma" not in kv:
-            return cls.diagonal(m, n, integer("r"))
-        try:
-            a, b = kv["sigma"].split("|")
-            rows = tuple(int(x) for x in a.split(","))
-            cols = tuple(int(x) for x in b.split(","))
-        except ValueError:
-            raise ValueError(f"expected sigma=<a1,..|b1,..>, got sigma={kv['sigma']}") from None
-        return cls(m, n, rows, cols)
-
     @property
     def r(self) -> int:
         return len(self.rows)

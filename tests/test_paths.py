@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from shellball import paths
+from shellball.cli import main
 from shellball.complexes import (
     boundary_complex,
     f_vector,
@@ -84,9 +85,9 @@ def test_minor_spec_validation():
         MinorSpec(3, 4, (2, 1), (1, 2))
     with pytest.raises(ValueError):
         MinorSpec.diagonal(3, 4, 0)
-    spec = MinorSpec.parse("m=3 n=4 sigma=1,2|1,3")
-    assert spec.rows == (1, 2) and spec.cols == (1, 3)
-    assert MinorSpec.parse("m=2 n=3 r=1") == MinorSpec.diagonal(2, 3, 1)
+    spec = MinorSpec(3, 4, (1, 2), (1, 3))
+    assert spec.r == 2 and spec.facet_size == 2 * 8 - 3 - 4
+    assert MinorSpec.diagonal(2, 3, 1) == MinorSpec(2, 3, (1,), (1,))
 
 
 @pytest.mark.parametrize(
@@ -105,10 +106,10 @@ def test_minor_spec_validation():
         ("m=x n=4 sigma=1|1", "parameter m must be an integer, got 'x'"),
     ],
 )
-def test_minor_spec_parse_names_malformed_input(text, message):
-    with pytest.raises(ValueError) as info:
-        MinorSpec.parse(text)
-    assert str(info.value) == message
+def test_minor_spec_parse_names_malformed_input(capsys, text, message):
+    # minor parameters are read only by the CLI, which exits 2 naming the key or form
+    assert main(["check", "minor", *text.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_enumerate_minor23():
@@ -313,25 +314,32 @@ def matrix_extension(less, pick):
     return order
 
 
-ORDER_SPECS = [f"m={m} n={n} r={r}" for m, n, r in SMALL_SPECS] + [
-    "m=3 n=5 sigma=2|3",
-    "m=4 n=5 sigma=1,2|2,4",
-    "m=4 n=5 sigma=2,3|1,4",
-    "m=4 n=4 sigma=1,2,4|1,3,4",
+ORDER_SPECS = [MinorSpec.diagonal(*mnr) for mnr in SMALL_SPECS] + [
+    MinorSpec(3, 5, (2,), (3,)),
+    MinorSpec(4, 5, (1, 2), (2, 4)),
+    MinorSpec(4, 5, (2, 3), (1, 4)),
+    MinorSpec(4, 4, (1, 2, 4), (1, 3, 4)),
 ]
 
 
-@pytest.mark.parametrize("text", ORDER_SPECS)
-def test_facet_leq_matches_pointwise_oracle(text):
-    fams = enumerate_facets(MinorSpec.parse(text))
+def spec_id(spec: MinorSpec) -> str:
+    """Test id: the CLI parameters naming the minor."""
+    if spec == MinorSpec.diagonal(spec.m, spec.n, spec.r):
+        return f"m={spec.m} n={spec.n} r={spec.r}"
+    rows, cols = (",".join(map(str, idx)) for idx in (spec.rows, spec.cols))
+    return f"m={spec.m} n={spec.n} sigma={rows}|{cols}"
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=spec_id)
+def test_facet_leq_matches_pointwise_oracle(spec):
+    fams = enumerate_facets(spec)
     for a in fams:
         for b in fams:
             assert facet_leq(a, b) == pointwise_facet_leq(a, b)
 
 
-@pytest.mark.parametrize("text", ORDER_SPECS)
-def test_distinct_facets_have_distinct_profiles(text):
-    spec = MinorSpec.parse(text)
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=spec_id)
+def test_distinct_facets_have_distinct_profiles(spec):
     fams = enumerate_facets(spec)
     assert len({fam.profile for fam in fams}) == len(fams)
     for fam in fams:
@@ -340,9 +348,9 @@ def test_distinct_facets_have_distinct_profiles(text):
         assert shuffled.profile == fam.profile
 
 
-@pytest.mark.parametrize("text", ORDER_SPECS + ["m=5 n=7 r=1"])
-def test_orders_match_matrix_oracle(text):
-    fams = enumerate_facets(MinorSpec.parse(text))
+@pytest.mark.parametrize("spec", ORDER_SPECS + [MinorSpec.diagonal(5, 7, 1)], ids=spec_id)
+def test_orders_match_matrix_oracle(spec):
+    fams = enumerate_facets(spec)
     less = less_matrix(fams)
     assert shelling_order(fams) == [fams[i] for i in matrix_extension(less, lambda ready: ready[0])]
     for seed in (0, 1, 7):
@@ -359,9 +367,13 @@ def sweep_successors(facets):
     ]
 
 
-@pytest.mark.parametrize("text", ["m=5 n=6 r=2", "m=5 n=7 r=1"] + ORDER_SPECS[len(SMALL_SPECS) :])
-def test_successors_match_facet_leq_sweep(text):
-    fams = enumerate_facets(MinorSpec.parse(text))
+@pytest.mark.parametrize(
+    "spec",
+    [MinorSpec.diagonal(5, 6, 2), MinorSpec.diagonal(5, 7, 1)] + ORDER_SPECS[len(SMALL_SPECS) :],
+    ids=spec_id,
+)
+def test_successors_match_facet_leq_sweep(spec):
+    fams = enumerate_facets(spec)
     assert _successors(fams) == sweep_successors(fams)
 
 
@@ -398,9 +410,8 @@ def spy_facet_leq(monkeypatch) -> list:
     return pairs
 
 
-@pytest.mark.parametrize("text", ["m=4 n=5 r=2", "m=4 n=5 sigma=1,2|2,4"])
-def test_facet_order_compares_no_pairs(monkeypatch, text):
-    spec = MinorSpec.parse(text)
+@pytest.mark.parametrize("spec", [MinorSpec.diagonal(4, 5, 2), ORDER_SPECS[-3]], ids=spec_id)
+def test_facet_order_compares_no_pairs(monkeypatch, spec):
     fams = enumerate_facets(spec)
     compared = spy_facet_leq(monkeypatch)
     path_complex(spec, fams)
