@@ -202,7 +202,10 @@ def check_conjecture(
     The verdict is PASS/FAIL by exact comparison L <= e <= U when every
     hypothesis holds; any failed hypothesis (no boundary, uncertified ball,
     undefined or out-of-range m, interior vertices, A1, A2) downgrades the
-    verdict to INAPPLICABLE with all computable data still reported.
+    verdict to INAPPLICABLE with all computable data still reported.  So
+    does a ridge in three or more facets (not a pseudomanifold): then the
+    boundary and everything read off it (e, boundary h, Betti table, L, U,
+    A1, A2) stay null.
     The ball's h (hence f, and m from f) is read off a passing shelling
     certificate and its minimal inside faces off a passing ball certificate;
     the ball's face lattice is never built, so an order that fails to shell
@@ -218,16 +221,20 @@ def check_conjecture(
         h = certified_h(ball, cert.shelling)
         f = cxmod.f_from_h(h, d)
         m = cxmod.smallest_nonface_size(f)
-    boundary = cxmod.boundary_complex(ball)
     reasons: list[str] = []
     if not cert.shelling.ok:
         reasons.append(f"shelling failed: {cert.shelling.reason}")
     elif not cert.ok:
         reasons.append(f"ball certification failed: {cert.reason}")
+    try:
+        boundary = cxmod.boundary_complex(ball)
+    except ValueError as exc:  # void and non-pure input raised above: a ridge in 3+ facets
+        boundary = None
+        reasons.append(str(exc))
 
-    if not boundary.facets:
+    if boundary is not None and not boundary.facets:
         reasons.append("no boundary")
-    else:
+    elif boundary is not None:
         e = len(boundary.facets)
         bh = cxmod.h_vector(cxmod.f_vector(boundary), d - 1)
         if sum(bh) != e:

@@ -248,6 +248,38 @@ def test_check_not_pure():
         check_conjecture(build_complex([{0, 1, 2}, {3, 4}], 5), [0, 1])
 
 
+def test_check_void_complex_raises():
+    with pytest.raises(ValueError, match="void complex"):
+        check_conjecture(SimplicialComplex(3, []), [])
+
+
+# the report fields read off the boundary
+BOUNDARY_FIELDS = "e boundary_h betti_table L U L_betti U_betti m_in_range A1 A2".split() + [
+    "all_vertices_on_boundary"
+]
+
+
+@pytest.mark.parametrize(
+    "facets, order, shelled",
+    [
+        # three triangles on the edge 01: every order shells, none is a ball
+        ([{0, 1, 2}, {0, 1, 3}, {0, 1, 4}], [2, 0, 1], True),
+        # a fourth triangle meeting them in the vertex 2 breaks the shelling
+        ([{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {2, 5, 6}], [0, 3, 1, 2], False),
+    ],
+    ids=["shelled", "not shelled"],
+)
+def test_non_pseudomanifold_is_inapplicable(facets, order, shelled):
+    rep = check_conjecture(build_complex(facets, 7), order)
+    assert rep.verdict == "INAPPLICABLE" and rep.shelling_pass is shelled and not rep.ball_pass
+    assert rep.reasons[-1] == "not a pseudomanifold: ridge (0, 1) lies in 3 facets"
+    js = rep.to_json_dict()
+    assert [k for k in BOUNDARY_FIELDS if js[k] is not None] == []
+    # f, h and m still come from the shelling certificate
+    certified = ([5, 7, 3], [1, 2, 0, 0], 2) if shelled else (None, None, None)
+    assert (js["f"], js["h"], js["m"]) == certified
+
+
 def test_report_rationals_render_exactly():
     cx, order = power_ideal_complex(3, 3)
     rep = check_conjecture(cx, order)
