@@ -57,20 +57,7 @@ def multicomplex_facets(n: int, t: int) -> list[tuple[int, ...]]:
     """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(budget + 1):
-            prefix.append(a)
-            rec(prefix, remaining - 1, budget - a)
-            prefix.pop()
-
-    rec([], n, t - 1)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    return [a for k in range(t) for a in power_generators(n, k)]
 
 
 def theta(a, n: int, t: int) -> tuple[int, ...]:
