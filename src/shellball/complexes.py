@@ -242,30 +242,26 @@ def vector_profile(seq: Sequence[int]) -> VectorProfile:
 # nonfaces, boundary, inside faces
 
 
-def _minimal_outside(
-    levels: dict[int, set[int]], used: int, within: dict[int, set[int]] | None = None
-) -> list[int]:
+def _minimal_outside(levels: dict[int, set[int]], used: int) -> list[int]:
     """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``.
 
     Candidates of size k are (k-1)-sets of the lattice extended by a used
     vertex above their top one, so each arises once; a candidate outside
     the lattice is minimal iff every codimension-one subset lies in it, so
     no minimal one is missed.  The search stops by itself at the first size
-    with no (k-1)-sets, so no size bound is assumed.  With ``within``
-    (another lattice by size) only its members are kept.
+    with no (k-1)-sets, so no size bound is assumed.
     """
     out: list[int] = []
     k = 1
     while base := levels.get(k - 1):
         cur = levels.get(k, ())
-        keep = within.get(k, ()) if within is not None else None
         for f in base:
             rem = used & -(1 << f.bit_length())
             while rem:
                 b = rem & -rem
                 rem ^= b
                 g = f | b
-                if g in cur or (keep is not None and g not in keep):
+                if g in cur:
                     continue
                 if all((g ^ (1 << v)) in base for v in iter_bits(f)):
                     out.append(g)
@@ -340,7 +336,7 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
-    out = _minimal_outside(boundary.faces_by_size(), cx.used_mask, within=cx.faces_by_size())
+    out = [g for g in _minimal_outside(boundary.faces_by_size(), cx.used_mask) if cx.is_face(g)]
     return [vertices_of(m) for m in sorted(out, key=_canonical_key)]
 
 

@@ -237,7 +237,7 @@ def test_minimal_outside_returns_each_set_once():
         assert len(out) == len(set(out)), cx
     for cx in ORACLE_BALLS:
         bd = boundary_complex(cx)
-        out = _minimal_outside(bd.faces_by_size(), cx.used_mask, cx.faces_by_size())
+        out = _minimal_outside(bd.faces_by_size(), cx.used_mask)
         assert out and len(out) == len(set(out)), cx
 
 
