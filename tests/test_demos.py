@@ -1,12 +1,17 @@
-"""The demos and the README quick start use only names the library exports.
+"""The demos and the README quick start use only names the library exports,
+and every demo runs to completion.
 
-Nothing here runs a demo: each source is parsed, so a deleted or renamed
-export fails this test in milliseconds instead of breaking a demo silently.
+Each source is parsed first, so a deleted or renamed export fails in
+milliseconds; each demo then runs in a subprocess against ``src/``, which
+also catches a changed return value that the name check cannot see.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +19,8 @@ import pytest
 import shellball
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("demos/*.py")) + [ROOT / "README.md"]
+DEMOS = sorted(ROOT.glob("demos/*.py"))
+SOURCES = DEMOS + [ROOT / "README.md"]
 
 
 def _code(path: Path) -> str:
@@ -46,3 +52,10 @@ def test_sources_are_found():
 def test_uses_only_exported_names(path):
     tree = ast.parse(_code(path), filename=str(path))
     assert _missing(tree) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
