@@ -297,16 +297,6 @@ def test_non_pure_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "not pure" in err
 
 
-def test_non_pseudomanifold_file_is_inapplicable(tmp_path, capsys):
-    path = tmp_path / "three.cx"
-    path.write_text("n=5\n0 1 2\n0 1 3\n0 1 4\n")
-    code, stdout, err = run(capsys, "check", "--file", str(path))
-    assert code == 3 and not err
-    rep = json.loads(stdout)
-    assert rep["reasons"][-1] == "not a pseudomanifold: ridge (0, 1) lies in 3 facets"
-    assert rep["e"] is None and rep["h"] == [1, 2, 0, 0]
-
-
 def test_report_has_no_floats(capsys):
     _, stdout, _ = run(capsys, "check", "polar", "n=3", "t=3")
     rep = json.loads(stdout)

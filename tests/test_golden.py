@@ -37,6 +37,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -207,10 +208,7 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         "corners m=4 n=5 r=1 x=1",
         "cyclic n=8 d=5 q=1",
         "dual m=2 n=3 r=9",
-        *(
-            f"check minor m=3 n=4 sigma={s}"
-            for s in ("1,2", "1|2|3", "a|b", "|", "1;2|1,3")
-        ),
+        *(f"check minor m=3 n=4 sigma={s}" for s in ("1,2", "1|2|3", "a|b", "|", "1;2|1,3")),
         # missing and non-integer parameters
         "check minor m=3 n=4",
         "check minor n=4 r=1",
@@ -266,21 +264,17 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
 def run_cli(argv: str, files: dict[str, str]) -> dict:
     """Run ``shellball <argv>`` in a fresh directory holding ``files``."""
     out, err = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
-        os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal
         try:
-            with redirect_stdout(out), redirect_stderr(err):
+            # argparse wraps its usage line to the terminal width
+            with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
                 code = main(argv.split())
         finally:
             os.chdir(cwd)
-            if columns is None:
-                del os.environ["COLUMNS"]
-            else:
-                os.environ["COLUMNS"] = columns
     return {"exit": code, "stdout": _sha(out.getvalue()), "stderr": err.getvalue()}
 
 
