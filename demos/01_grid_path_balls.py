@@ -33,7 +33,7 @@ print(f"h-vector by the certificate:    {sb.certified_h(cx, cert.shelling)}")
 boundary = sb.boundary_complex(cx)
 bh = sb.h_vector(sb.f_vector(boundary), len(f) - 1)
 print(f"\nboundary sphere: {len(boundary.facets)} triangles, h' = {bh}")
-print(f"h' from the ball's h by partial sums: {sb.boundary_h_from_h(h, len(f))}")
+print(f"h' from the ball's h by partial sums: {sb.boundary_h_from_h(h)}")
 print(f"minimal nonfaces (diagonal supports): {sb.minimal_nonfaces(cx)}")
 print(f"minimal inside faces:                 {sb.minimal_inside_faces(cx)}")
 print(f"minimal inside faces by certificate:  {sb.certified_inside_faces(cx, cert)}")

@@ -17,7 +17,7 @@ arithmetic is exact: integers and fractions only, no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -118,11 +118,17 @@ def cyclic_max_shifts(n: int, d: int) -> list[int]:
 
 
 def _rat(x):
-    if x is None:
-        return None
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return x
+
+
+def _json_value(x):
+    if isinstance(x, tuple):
+        return list(x)
+    if isinstance(x, BettiTable):
+        return x.to_json_dict()
+    return _rat(x)
 
 
 @dataclass
@@ -157,30 +163,10 @@ class ConjectureReport:
         return self.L_betti <= self.e <= self.U_betti
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "e": self.e,
-            "f": list(self.f) if self.f is not None else None,
-            "h": list(self.h) if self.h is not None else None,
-            "boundary_h": list(self.boundary_h) if self.boundary_h is not None else None,
-            "L": _rat(self.L),
-            "U": _rat(self.U),
-            "L_betti": _rat(self.L_betti),
-            "U_betti": _rat(self.U_betti),
-            "A1": self.A1,
-            "A2": self.A2,
-            "m_in_range": self.m_in_range,
-            "all_vertices_on_boundary": self.all_vertices_on_boundary,
-            "betti_bounds_ok": self.betti_bounds_ok,
-            "shelling_pass": self.shelling_pass,
-            "ball_pass": self.ball_pass,
-            "betti_table": self.betti_table.to_json_dict() if self.betti_table else None,
-            "verdict": self.verdict,
-            "reasons": self.reasons,
-        }
+        out = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        del out["certificate"]
+        out["betti_bounds_ok"] = self.betti_bounds_ok
+        return out
 
     def csv_row(self) -> dict:
         row = self.to_json_dict()

@@ -106,7 +106,8 @@ def _build_instance(kind: str, tokens: list[str], max_facets: int):
 def cmd_generate(args) -> int:
     cx, order, name = _build_instance(args.kind, args.params, args.max_facets)
     out_path = args.out or (name.replace(" ", "_").replace("=", "") + ".cx")
-    cxmod.write_complex_file(cx, out_path)
+    # the text is built before the file is opened, so a refused complex leaves no file
+    _emit(cxmod.complex_to_text(cx), out_path)
     meta = {
         "instance": name,
         "file": out_path,
@@ -116,25 +117,25 @@ def cmd_generate(args) -> int:
         "shelling_order": order,
     }
     # sidecar with the certified facet order; `check --file` picks it up
-    with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(meta))
-    sys.stdout.write(canonical_json(meta))
+    _emit(canonical_json(meta), out_path + ".meta.json")
+    _emit(canonical_json(meta), None)
     return EXIT_PASS
 
 
 def _report_text(rep) -> str:
+    js = rep.to_json_dict()
     lines = [
-        f"instance: {rep.instance}",
-        f"n={rep.n} d={rep.d} m={rep.m} e={rep.e}",
-        f"h: {list(rep.h) if rep.h is not None else None}",
-        f"boundary h: {list(rep.boundary_h) if rep.boundary_h is not None else None}",
-        f"closed-form bounds: L={bnd._rat(rep.L)} U={bnd._rat(rep.U)}",
-        f"betti bounds: L={bnd._rat(rep.L_betti)} U={bnd._rat(rep.U_betti)}",
-        f"A1={rep.A1} A2={rep.A2} shelling={rep.shelling_pass} ball={rep.ball_pass}",
-        f"verdict: {rep.verdict}",
+        f"instance: {js['instance']}",
+        f"n={js['n']} d={js['d']} m={js['m']} e={js['e']}",
+        f"h: {js['h']}",
+        f"boundary h: {js['boundary_h']}",
+        f"closed-form bounds: L={js['L']} U={js['U']}",
+        f"betti bounds: L={js['L_betti']} U={js['U_betti']}",
+        f"A1={js['A1']} A2={js['A2']} shelling={js['shelling_pass']} ball={js['ball_pass']}",
+        f"verdict: {js['verdict']}",
     ]
-    if rep.reasons:
-        lines.append("reasons: " + "; ".join(rep.reasons))
+    if js["reasons"]:
+        lines.append("reasons: " + "; ".join(js["reasons"]))
     return "\n".join(lines) + "\n"
 
 

@@ -56,22 +56,19 @@ class SimplicialComplex:
         if n < 0 or n > MAX_VERTICES:
             raise ValueError(f"vertex universe capped at {MAX_VERTICES}, got n={n}")
         masks = sorted(set(facet_masks), key=_canonical_key)
-        for m in masks:
-            if m >> n:
-                raise ValueError("vertex out of range")
+        if max(masks, default=0) >> n:
+            raise ValueError("vertex out of range")
         # drop non-maximal entries; same-size masks never contain one another
         by_size: dict[int, list[int]] = {}
         for m in masks:
             by_size.setdefault(m.bit_count(), []).append(m)
-        bigger_sizes = sorted(by_size, reverse=True)
         keep = []
-        for s in bigger_sizes:
-            for m in by_size[s]:
-                if any(m != g and m & ~g == 0 for t in bigger_sizes if t > s for g in by_size[t]):
-                    continue
+        for m in masks:
+            s = m.bit_count()
+            if not any(m & ~g == 0 for t, group in by_size.items() if t > s for g in group):
                 keep.append(m)
         self.n = n
-        self.facets: tuple[int, ...] = tuple(sorted(keep, key=_canonical_key))
+        self.facets: tuple[int, ...] = tuple(keep)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -209,17 +206,13 @@ def multiplicity(cx: SimplicialComplex) -> int:
     return t
 
 
-def boundary_h_from_h(h: Sequence[int], d: int | None = None) -> tuple[int, ...]:
-    """h-vector of the boundary sphere of a ball from the ball's h-vector.
+def boundary_h_from_h(h: Sequence[int]) -> tuple[int, ...]:
+    """h-vector of the boundary sphere of a ball from the ball's h-vector h_0..h_d.
 
     Entry j is ``sum(h[0..j]) - sum(h[d-j..d])``, the partial-sum difference
     transform valid for shellable balls.
     """
-    if d is None:
-        d = len(h) - 1
-    if len(h) != d + 1:
-        raise ValueError(f"h-vector length {len(h)} does not match d={d}")
-    return tuple(sum(h[: j + 1]) - sum(h[d - j :]) for j in range(d))
+    return tuple(sum(h[: j + 1]) - sum(h[-j - 1 :]) for j in range(len(h) - 1))
 
 
 class VectorProfile(NamedTuple):
@@ -330,13 +323,20 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     """Inclusion-minimal faces of the complex not lying on its boundary.
 
     These index the generators of the canonical ideal of a ball; their
-    cardinalities are the generator degrees.  They are the minimal sets
-    outside the boundary's face lattice that are faces of the complex.
+    cardinalities are the generator degrees.  They are the faces off the
+    boundary whose codimension-one subsets all lie on it.
     """
     boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
-    out = [g for g in _minimal_outside(boundary.faces_by_size(), cx.used_mask) if cx.is_face(g)]
+    # a nonempty boundary holds the empty face, so every face checked has size k >= 1
+    on_boundary = boundary.faces_by_size()
+    out = [
+        g
+        for k, faces in cx.faces_by_size().items()
+        for g in faces - on_boundary.get(k, set())
+        if all((g ^ (1 << v)) in on_boundary[k - 1] for v in iter_bits(g))
+    ]
     return [vertices_of(m) for m in sorted(out, key=_canonical_key)]
 
 
@@ -360,10 +360,6 @@ def complex_to_text(cx: SimplicialComplex) -> str:
     for f in cx.facets:
         lines.append(" ".join(str(v) for v in vertices_of(f)))
     return "\n".join(lines) + "\n"
-
-
-def complex_from_text(text: str) -> SimplicialComplex:
-    return complex_from_text_with_order(text)[0]
 
 
 def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int]]:
@@ -397,9 +393,3 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
     pos = {m: k for k, m in enumerate(cx.facets)}
     masks = (mask_of(fs) for fs in facets)
     return cx, list(dict.fromkeys(pos[m] for m in masks if m in pos))
-
-
-def write_complex_file(cx: SimplicialComplex, path) -> None:
-    text = complex_to_text(cx)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

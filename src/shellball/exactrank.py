@@ -87,24 +87,3 @@ def rank_modp_columns(columns: Iterable[dict[int, int]], p: int) -> int:
                     del new[r]
             col = new
     return rank
-
-
-def rank_int_matrix(rows: list[list[int]], char: int = 0) -> int:
-    """Convenience rank of a dense integer matrix over Q or GF(char)."""
-    cols: list[dict[int, int]] = []
-    ncols = len(rows[0]) if rows else 0
-    for j in range(ncols):
-        col = {i: rows[i][j] for i in range(len(rows)) if rows[i][j]}
-        cols.append(col)
-    if char == 0:
-        return rank_int_columns(cols)
-    if char == 2:
-        masks = []
-        for col in cols:
-            m = 0
-            for r, v in col.items():
-                if v % 2:
-                    m |= 1 << r
-            masks.append(m)
-        return rank_gf2_columns(masks)
-    return rank_modp_columns(cols, char)

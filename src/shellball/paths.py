@@ -44,15 +44,12 @@ class MinorSpec:
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
             raise ValueError("need 1 <= m <= n")
-        r = len(self.rows)
-        if r == 0 or len(self.cols) != r:
+        if not self.rows or len(self.cols) != len(self.rows):
             raise ValueError("rows and cols must be nonempty and of equal length")
         if list(self.rows) != sorted(set(self.rows)) or list(self.cols) != sorted(set(self.cols)):
             raise ValueError("row and column indices must be strictly increasing")
         if self.rows[-1] > self.m or self.cols[-1] > self.n or self.rows[0] < 1 or self.cols[0] < 1:
             raise ValueError("minor indices out of matrix range")
-        if r > self.m:
-            raise ValueError("minor size exceeds row count")
 
     @classmethod
     def diagonal(cls, m: int, n: int, r: int) -> "MinorSpec":
@@ -220,13 +217,9 @@ def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
     return new
 
 
-def path_is_non_flippable(path: tuple[Point, ...]) -> bool:
-    return not _flip_sites(path)
-
-
 def is_non_flippable(family: PathFamily) -> bool:
     """No path of the family admits a flip, ignoring the sibling paths."""
-    return all(path_is_non_flippable(p) for p in family.paths)
+    return not any(_flip_sites(p) for p in family.paths)
 
 
 def admits_family_flip(family: PathFamily) -> bool:
@@ -260,20 +253,13 @@ def nonflippable_discrepancies(facets: list[PathFamily]) -> list[PathFamily]:
 # facet partial order and shellings
 
 
-def facet_leq(f1: PathFamily, f2: PathFamily) -> bool:
-    """f1 <= f2 iff every point of f2's path i is weakly below-right of some
-    point of f1's path i: the entrywise order on row profiles."""
-    if f1.spec != f2.spec:
-        raise ValueError("mismatched specs")
-    return all(a <= b for a, b in zip(f1.profile, f2.profile))
-
-
 def _successors(facets: list[PathFamily]) -> list[list[int]]:
     """For each facet, the increasing indices of the other facets above it.
 
-    Bit k of ``at_least[c][v]`` is set when facet k has ``profile[c] >= v``,
-    so the facets above facet j are the AND of one such bitset per profile
-    entry of j: the relation of `facet_leq` without comparing pairs.
+    The order is the entrywise order on row profiles.  Bit k of
+    ``at_least[c][v]`` is set when facet k has ``profile[c] >= v``, so the
+    facets above facet j are the AND of one such bitset per profile entry
+    of j, without comparing pairs.
     """
     if any(f.spec != facets[0].spec for f in facets[1:]):
         raise ValueError("mismatched specs")

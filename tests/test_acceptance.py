@@ -173,7 +173,7 @@ def test_criterion_8_cross_oracle_h_identities(minor, polar):
         assert sb.verify_ball(cx, order).ok
         boundary = sb.boundary_complex(cx)
         bh = sb.h_vector(sb.f_vector(boundary), d - 1)
-        assert sb.boundary_h_from_h(h, d) == bh
+        assert sb.boundary_h_from_h(h) == bh
         assert sum(bh) == len(boundary.facets)
     for n, t in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         cx, order = polar(n, t)
@@ -182,7 +182,7 @@ def test_criterion_8_cross_oracle_h_identities(minor, polar):
         h = sb.h_vector(f, d)
         assert sum(h) == len(cx.facets)
         boundary = sb.boundary_complex(cx)
-        assert sb.boundary_h_from_h(h, d) == sb.h_vector(sb.f_vector(boundary), d - 1)
+        assert sb.boundary_h_from_h(h) == sb.h_vector(sb.f_vector(boundary), d - 1)
     line("criterion 8", "PASS  corner tally = transform; boundary h identity; sum(h) = facets")
 
 

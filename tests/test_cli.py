@@ -3,7 +3,7 @@ import json
 import pytest
 
 from shellball.cli import main
-from shellball.complexes import build_complex, write_complex_file
+from shellball.complexes import build_complex, complex_to_text
 from tests.test_complexes import MINOR23, SPHERE23
 
 
@@ -72,7 +72,7 @@ def test_check_polar_inapplicable_exit_3(capsys):
 
 def test_check_sphere_file(tmp_path, capsys):
     path = tmp_path / "sphere.cx"
-    write_complex_file(build_complex(SPHERE23, 6), path)
+    path.write_text(complex_to_text(build_complex(SPHERE23, 6)))
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
     rep = json.loads(stdout)
@@ -82,7 +82,7 @@ def test_check_sphere_file(tmp_path, capsys):
 
 def test_check_ball_file(tmp_path, capsys):
     path = tmp_path / "ball.cx"
-    write_complex_file(build_complex(MINOR23, 6), path)
+    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 0
     assert json.loads(stdout)["verdict"] == "PASS"
@@ -101,7 +101,7 @@ def test_generate_then_check_roundtrip_uses_sidecar_order(tmp_path, capsys):
 
 def test_sidecar_order_that_fails_to_shell_reports_null_ball_data(tmp_path, capsys):
     path = tmp_path / "ball.cx"
-    write_complex_file(build_complex(MINOR23, 6), path)
+    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
     (tmp_path / "ball.cx.meta.json").write_text(json.dumps({"shelling_order": [0, 2, 1]}))
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
@@ -127,7 +127,7 @@ def test_sidecar_order_that_fails_to_shell_reports_null_ball_data(tmp_path, caps
 )
 def test_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar, complaint):
     path = tmp_path / "ball.cx"
-    write_complex_file(build_complex(MINOR23, 6), path)
+    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
     (tmp_path / "ball.cx.meta.json").write_text(json.dumps(sidecar))
     code, stdout, err = run(capsys, "check", "--file", str(path))
     assert code == 2 and not stdout
@@ -187,6 +187,25 @@ def test_dropped_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check minor m=2 n=3 r=1 --format json",
+        "check minor m=2 n=3 r=1 --format csv",
+        "check minor m=2 n=3 r=1 --format text",
+        "dual m=3 n=4",
+        "corners m=4 n=5 r=2",
+        "cyclic n=8 d=5",
+    ],
+)
+def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
+    code, stdout, _ = run(capsys, *argv.split())
+    out = tmp_path / "report"
+    code_out, stdout_out, _ = run(capsys, *argv.split(), "--out", str(out))
+    assert (code_out, stdout_out) == (code, "")
+    assert out.read_bytes() == stdout.encode()
+
+
 def test_byte_stable_reports(capsys):
     _, first, _ = run(capsys, "check", "minor", "m=2", "n=3", "r=1")
     _, second, _ = run(capsys, "check", "minor", "m=2", "n=3", "r=1")
@@ -204,6 +223,11 @@ def test_missing_param_is_usage_error(capsys):
         ("check minor m=3 n=2 r=1", "error: need 1 <= m <= n"),
         ("check minor m=3 n=4 r=0", "error: need 1 <= r <= m, got r=0, m=3"),
         ("check minor m=3 n=4 r=4", "error: need 1 <= r <= m, got r=4, m=3"),
+        (
+            "check minor m=3 n=4 sigma=1,2|1",
+            "error: rows and cols must be nonempty and of equal length",
+        ),
+        ("check minor m=3 n=4 sigma=1,4|1,2", "error: minor indices out of matrix range"),
         ("check polar n=0 t=1", "error: need n >= 1 and t >= 1"),
         ("check polar n=20 t=7", "error: grid size 140 exceeds vertex cap 128"),
         (
@@ -213,6 +237,7 @@ def test_missing_param_is_usage_error(capsys):
         ("dual m=1 n=3", "error: need 2 <= m <= n"),
         ("corners m=3 n=4 r=3", "error: need 1 <= r <= m-1 and m <= n"),
         ("cyclic n=5 d=5", "error: need n > d"),
+        ("cyclic n=3 d=5", "error: need n >= d >= 1"),
     ],
 )
 def test_library_value_errors_exit_2(tmp_path, monkeypatch, capsys, argv, line):
@@ -246,7 +271,7 @@ def test_stray_parameters_are_usage_errors(tmp_path, monkeypatch, capsys, argv, 
 
 def test_kind_with_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "ball.cx"
-    write_complex_file(build_complex(MINOR23, 6), path)
+    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
     code, stdout, err = run(capsys, "check", "polar", "n=3", "t=2", "--file", str(path))
     assert code == 2 and not stdout
     assert err == "error: check takes a kind (minor|polar) or --file, not both\n"

@@ -9,7 +9,6 @@ from shellball.complexes import (
     boundary_complex,
     boundary_h_from_h,
     build_complex,
-    complex_from_text,
     complex_from_text_with_order,
     complex_to_text,
     f_from_h,
@@ -23,7 +22,6 @@ from shellball.complexes import (
     smallest_nonface_size,
     vector_profile,
     vertices_of,
-    write_complex_file,
 )
 from shellball.duality import alexander_dual
 from shellball.paths import MinorSpec, path_complex
@@ -286,15 +284,15 @@ def test_multiplicity():
 
 
 def test_boundary_h_from_h():
-    assert boundary_h_from_h((1, 0, 0, 0), 3) == (1, 1, 1)
-    assert boundary_h_from_h((1, 2, 0, 0, 0), 4) == (1, 3, 3, 1)
+    assert boundary_h_from_h((1, 0, 0, 0)) == (1, 1, 1)
+    assert boundary_h_from_h((1, 2, 0, 0, 0)) == (1, 3, 3, 1)
 
 
 def test_boundary_h_matches_direct_boundary_on_minor23():
     cx = build_complex(MINOR23, 6)
     bd = boundary_complex(cx)
     direct = h_vector(f_vector(bd), 3)
-    assert boundary_h_from_h(h_vector(f_vector(cx), 4), 4) == direct == (1, 3, 3, 1)
+    assert boundary_h_from_h(h_vector(f_vector(cx), 4)) == direct == (1, 3, 3, 1)
 
 
 def test_vector_profile():
@@ -336,8 +334,8 @@ def test_text_round_trip():
     cx = build_complex(MINOR23, 6, labels=[f"v{i}" for i in range(6)])
     text = complex_to_text(cx)
     assert text.splitlines()[0] == "n=6"
-    assert complex_from_text(text) == cx
-    assert complex_from_text(text).labels == cx.labels
+    back, _ = complex_from_text_with_order(text)
+    assert back == cx and back.labels == cx.labels
 
 
 def test_text_reader_tolerates_order_and_tracks_it():
@@ -363,15 +361,11 @@ def test_text_reader_order_skips_duplicate_and_absorbed_lines():
     ],
     ids=["void", "only the empty face"],
 )
-def test_text_writer_refuses_complexes_without_a_facet_line(tmp_path, cx, message):
+def test_text_writer_refuses_complexes_without_a_facet_line(cx, message):
     with pytest.raises(ValueError, match=message):
         complex_to_text(cx)
-    path = tmp_path / "out.cx"
-    with pytest.raises(ValueError, match=message):
-        write_complex_file(cx, path)
-    assert not path.exists()
 
 
 def test_text_reader_rejects_garbage():
     with pytest.raises(ValueError):
-        complex_from_text("facets only\n0 1\n")
+        complex_from_text_with_order("facets only\n0 1\n")

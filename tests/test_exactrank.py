@@ -1,12 +1,7 @@
 import random
 from fractions import Fraction
 
-from shellball.exactrank import (
-    rank_gf2_columns,
-    rank_int_columns,
-    rank_int_matrix,
-    rank_modp_columns,
-)
+from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
 
 
 def dense_rank_oracle(rows, char=0):
@@ -45,23 +40,31 @@ def dense_rank_oracle(rows, char=0):
     return rank
 
 
+def int_columns(rows):
+    """The columns of a dense matrix as sparse {row: entry} dicts."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
+def gf2_columns(rows):
+    """The columns of a dense matrix reduced mod 2, as bit masks over the rows."""
+    return [sum(1 << i for i, row in enumerate(rows) if row[j] % 2) for j in range(len(rows[0]))]
+
+
 def test_known_small_matrices():
-    ident = [[1, 0], [0, 1]]
-    assert rank_int_matrix(ident) == 2
-    singular = [[1, 2], [2, 4]]
-    assert rank_int_matrix(singular) == 1
+    assert rank_int_columns(int_columns([[1, 0], [0, 1]])) == 2
+    assert rank_int_columns(int_columns([[1, 2], [2, 4]])) == 1
     # rank differs between Q and GF(2)
     twos = [[2]]
-    assert rank_int_matrix(twos, 0) == 1
-    assert rank_int_matrix(twos, 2) == 0
-    assert rank_int_matrix(twos, 3) == 1
+    assert rank_int_columns(int_columns(twos)) == 1
+    assert rank_gf2_columns(gf2_columns(twos)) == 0
+    assert rank_modp_columns(int_columns(twos), 3) == 1
 
 
 def test_needs_nonunit_pivots():
     m = [[2, 3], [4, 9]]
-    assert rank_int_matrix(m) == dense_rank_oracle(m) == 2
+    assert rank_int_columns(int_columns(m)) == dense_rank_oracle(m) == 2
     m = [[6, 10], [15, 25]]
-    assert rank_int_matrix(m) == dense_rank_oracle(m) == 1
+    assert rank_int_columns(int_columns(m)) == dense_rank_oracle(m) == 1
 
 
 def test_random_matrices_against_dense_oracle():
@@ -69,11 +72,11 @@ def test_random_matrices_against_dense_oracle():
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-        for char in (0, 2, 3, 5):
-            assert rank_int_matrix(rows, char) == dense_rank_oracle(rows, char), (
-                rows,
-                char,
-            )
+        cols = int_columns(rows)
+        assert rank_int_columns(cols) == dense_rank_oracle(rows), rows
+        assert rank_gf2_columns(gf2_columns(rows)) == dense_rank_oracle(rows, 2), rows
+        for p in (3, 5):
+            assert rank_modp_columns(cols, p) == dense_rank_oracle(rows, p), (rows, p)
 
 
 def test_column_interfaces():

@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from shellball import paths
 from shellball.cli import main
 from shellball.complexes import (
     boundary_complex,
@@ -25,7 +24,6 @@ from shellball.paths import (
     construct_nonflippable,
     corner_spectrum,
     enumerate_facets,
-    facet_leq,
     flip,
     h_via_corners,
     is_corner_maximal,
@@ -211,29 +209,28 @@ def test_corner_maximality_vs_pathwise():
             assert is_corner_maximal(f, fams) == (not admits_family_flip(f))
 
 
+# The facet order <= is the relation that `_successors` lists: k in succ[j]
+# iff facet j < facet k.
+
+
 def test_facet_leq_basics():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
-    stair, f1, f2 = fams
-    assert facet_leq(stair, stair)
-    assert facet_leq(stair, f1) and facet_leq(stair, f2)
-    assert not facet_leq(f1, stair)
+    # the staircase lies below the other two facets, and they form a chain
+    assert _successors(fams) == [[1, 2], [2], []]
     with pytest.raises(ValueError, match="mismatched"):
-        facet_leq(stair, enumerate_facets(MinorSpec.diagonal(2, 2, 1))[0])
+        _successors(fams[:1] + enumerate_facets(MinorSpec.diagonal(2, 2, 1)))
 
 
 def test_facet_leq_is_partial_order_with_incomparable_pairs():
-    fams = enumerate_facets(MinorSpec.diagonal(3, 4, 1))
+    succ = [set(ks) for ks in _successors(enumerate_facets(MinorSpec.diagonal(3, 4, 1)))]
     incomparable = 0
-    for a in fams:
-        for b in fams:
-            ab, ba = facet_leq(a, b), facet_leq(b, a)
-            if ab and ba:
-                assert a is b or a.mask == b.mask
-            if not ab and not ba:
+    for a, above in enumerate(succ):
+        assert a not in above
+        for b in range(len(succ)):
+            if b in above:
+                assert a not in succ[b] and succ[b] <= above
+            elif a != b and a not in succ[b]:
                 incomparable += 1
-            for c in fams:
-                if ab and facet_leq(b, c):
-                    assert facet_leq(a, c)
     assert incomparable > 0
 
 
@@ -254,7 +251,7 @@ def test_shelling_order_passes_and_respects_partial_order(m, n, r):
     ordered = shelling_order(fams)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            assert not (facet_leq(b, a) and b.mask != a.mask)
+            assert not pointwise_facet_leq(b, a)
     cx, order = path_complex(spec, fams)
     assert verify_shelling(cx, order).ok
     assert verify_ball(cx, order).ok
@@ -275,6 +272,7 @@ def test_random_extensions_pass():
 
 
 def pointwise_facet_leq(f1, f2):
+    """f1 <= f2: every point of f2's path i is weakly below-right of some point of f1's path i."""
     for c, d in zip(f1.paths, f2.paths):
         for (x, y) in d:
             if not any(u <= x and v <= y for (u, v) in c):
@@ -332,10 +330,12 @@ def spec_id(spec: MinorSpec) -> str:
 
 @pytest.mark.parametrize("spec", ORDER_SPECS, ids=spec_id)
 def test_facet_leq_matches_pointwise_oracle(spec):
+    # `_successors` compares row profiles entry by entry in place of points
     fams = enumerate_facets(spec)
     for a in fams:
         for b in fams:
-            assert facet_leq(a, b) == pointwise_facet_leq(a, b)
+            entrywise = all(x <= y for x, y in zip(a.profile, b.profile))
+            assert entrywise == pointwise_facet_leq(a, b)
 
 
 @pytest.mark.parametrize("spec", ORDER_SPECS, ids=spec_id)
@@ -360,9 +360,9 @@ def test_orders_match_matrix_oracle(spec):
 
 
 def sweep_successors(facets):
-    """Oracle for `_successors`: `facet_leq` on every ordered pair."""
+    """Oracle for `_successors`: `pointwise_facet_leq` on every ordered pair."""
     return [
-        [k for k, g in enumerate(facets) if k != j and facet_leq(f, g)]
+        [k for k, g in enumerate(facets) if k != j and pointwise_facet_leq(f, g)]
         for j, f in enumerate(facets)
     ]
 
@@ -395,29 +395,6 @@ def test_mixed_specs_are_refused():
         shelling_order(fams)
     with pytest.raises(ValueError, match="mismatched specs"):
         random_shelling_orders(fams, 1, seed=0)
-
-
-def spy_facet_leq(monkeypatch) -> list:
-    """Record every pair that the facet order compares with `facet_leq`."""
-    pairs = []
-    original = paths.facet_leq
-
-    def facet_leq_spy(f1, f2):
-        pairs.append((f1, f2))
-        return original(f1, f2)
-
-    monkeypatch.setattr(paths, "facet_leq", facet_leq_spy)
-    return pairs
-
-
-@pytest.mark.parametrize("spec", [MinorSpec.diagonal(4, 5, 2), ORDER_SPECS[-3]], ids=spec_id)
-def test_facet_order_compares_no_pairs(monkeypatch, spec):
-    fams = enumerate_facets(spec)
-    compared = spy_facet_leq(monkeypatch)
-    path_complex(spec, fams)
-    shelling_order(fams)
-    random_shelling_orders(fams, 3, seed=0)
-    assert compared == []
 
 
 def test_canonical_generators_minor23():

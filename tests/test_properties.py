@@ -108,7 +108,7 @@ def test_ball_boundary_h_identity(params):
     d = cx.dim + 1
     bd = boundary_complex(cx)
     direct = h_vector(f_vector(bd), d - 1)
-    assert boundary_h_from_h(h_vector(f_vector(cx), d), d) == direct
+    assert boundary_h_from_h(h_vector(f_vector(cx), d)) == direct
     assert vector_profile(direct).symmetric
 
 
@@ -121,7 +121,7 @@ def test_polar_boundary_h_identity(params):
     d = cx.dim + 1
     bd = boundary_complex(cx)
     direct = h_vector(f_vector(bd), d - 1)
-    assert boundary_h_from_h(h_vector(f_vector(cx), d), d) == direct
+    assert boundary_h_from_h(h_vector(f_vector(cx), d)) == direct
     assert vector_profile(direct).symmetric
 
 

@@ -34,3 +34,9 @@ def test_no_floats():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {what}" for line, what in _float_uses(tree)]
     assert not found, f"floats in the library: {found}"
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = shellball.__all__
+    assert names == sorted(set(names))
+    assert [n for n in names if not hasattr(shellball, n)] == []
