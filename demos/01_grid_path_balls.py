@@ -24,14 +24,14 @@ cert = sb.verify_ball(cx, order)
 print(f"shelling order {order}: shelling ok = {cert.shelling.ok}, ball ok = {cert.ok}")
 
 f = sb.f_vector(cx)
-h = sb.h_vector(f, len(f))
+h = sb.h_vector(f)
 print(f"f-vector {f}")
 print(f"h-vector by binomial transform: {h}")
 print(f"h-vector by corner counts:      {sb.h_via_corners(facets)}")
 print(f"h-vector by the certificate:    {sb.certified_h(cx, cert.shelling)}")
 
 boundary = sb.boundary_complex(cx)
-bh = sb.h_vector(sb.f_vector(boundary), len(f) - 1)
+bh = sb.h_vector(sb.f_vector(boundary))
 print(f"\nboundary sphere: {len(boundary.facets)} triangles, h' = {bh}")
 print(f"h' from the ball's h by partial sums: {sb.boundary_h_from_h(h)}")
 print(f"minimal nonfaces (diagonal supports): {sb.minimal_nonfaces(cx)}")

@@ -6,9 +6,6 @@ derived from an actual Betti table, and the hypothesis flags.  Everything
 is exact; verdicts never involve floats.
 """
 
-from fractions import Fraction
-from math import factorial, prod
-
 import shellball as sb
 
 print(f"{'instance':<18} {'n':>3} {'d':>3} {'m':>3} {'e':>5}  {'L':>8} {'U':>8}  A1    A2    verdict")
@@ -41,6 +38,6 @@ for n, d in [(6, 5), (8, 5), (7, 4), (8, 4)]:
     h = sb.cyclic_h(n, d)
     e = sum(h)
     shifts = sb.cyclic_max_shifts(n, d)
-    bound = Fraction(prod(shifts), factorial(n - d + 1))
+    bound = sb.shift_bound(shifts)
     rel = "=" if e == bound else "<"
     print(f"  boundary of C({n},{d - 1}): h* = {h}, e = {e} {rel} {bound} = prod(M*)/(n-d+1)!")

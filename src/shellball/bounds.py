@@ -2,17 +2,19 @@
 
 For a ball whose smallest nonface has m vertices, the resolution shifts of
 the boundary sphere are pinned down in closed form, giving exact rational
-bounds
+bounds, each the shift bound prod(shifts)/p! of the shifts that m forces:
 
-    L = n * prod_{i=1}^{n-d} (m+i-1) / (n-d+1)!
-    U = n * prod_{i=1}^{n-d} (d-m+i) / (n-d+1)!
+    L = (m)(m+1)...(m+n-d-1) * n / (n-d+1)!
+    U = (d-m+1)(d-m+2)...(n-m) * n / (n-d+1)!
 
 valid under two hypotheses checked per instance: a minimal inside face of
 dimension d-m exists and none smaller than m-1 (A1), and the boundary
 h-vector is unimodal (A2), with m constrained to 2 <= m <= (d+1)//2.  The
 same bounds can be derived from an actual Betti table; both routes are
-reported.  Cyclic-polytope comparators give the upper-bound chain.  All
-arithmetic is exact: integers and fractions only, no tolerances.
+reported.  Cyclic-polytope comparators give the upper-bound chain; their
+spheres are neighborly, so their h-vector and maximal shifts are the ones
+forced at m = (d+1)//2.  All arithmetic is exact: integers and fractions
+only, no tolerances.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import Sequence
 
 from . import complexes as cxmod
 from .complexes import SimplicialComplex, vector_profile
@@ -33,26 +36,20 @@ from .homology import (
 from .shelling import BallCertificate, certified_h, certified_inside_faces, verify_ball
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """n = vertex count, d = Krull dimension of the ball ring, m = least nonface size."""
-
-    n: int
-    d: int
-    m: int
-
-    @property
-    def m_in_range(self) -> bool:
-        return 2 <= self.m <= (self.d + 1) // 2
+def shift_bound(degrees: Sequence[int]) -> Fraction:
+    """prod(degrees) / p! for one shift per homological index 1..p."""
+    return Fraction(prod(degrees), factorial(len(degrees)))
 
 
-def closed_form_bounds(params: BoundParams) -> tuple[Fraction, Fraction]:
-    """Exact (L, U); consult params.m_in_range for applicability."""
-    n, d, m = params.n, params.d, params.m
-    denom = factorial(n - d + 1)
-    lo = Fraction(n * prod(m + i - 1 for i in range(1, n - d + 1)), denom)
-    hi = Fraction(n * prod(d - m + i for i in range(1, n - d + 1)), denom)
-    return lo, hi
+def _forced_shifts(n: int, d: int, m: int) -> tuple[list[int], list[int]]:
+    """Least and greatest shifts forced by m: m+i-1 and d-m+i for i <= n-d, then n."""
+    return [*range(m, m + n - d), n], [*range(d - m + 1, n - m + 1), n]
+
+
+def closed_form_bounds(n: int, d: int, m: int) -> tuple[Fraction, Fraction]:
+    """Exact (L, U), the shift bounds of the forced shifts; applicable for 2 <= m <= (d+1)//2."""
+    lo, hi = _forced_shifts(n, d, m)
+    return shift_bound(lo), shift_bound(hi)
 
 
 def betti_bounds(table: BettiTable) -> tuple[Fraction, Fraction]:
@@ -60,16 +57,7 @@ def betti_bounds(table: BettiTable) -> tuple[Fraction, Fraction]:
     mins, maxs = shifts(table)
     if any(v is None for v in mins):
         raise ValueError("gap in resolution")
-    denom = factorial(table.p)
-    return Fraction(prod(mins), denom), Fraction(prod(maxs), denom)
-
-
-def lower_bound_estimate(params: BoundParams) -> int:
-    """Sphere multiplicity estimate from the forced symmetric unimodal h-profile."""
-    n, d, m = params.n, params.d, params.m
-    return 2 * sum(comb(n - d + i, i) for i in range(m)) + (d - 2 * m) * comb(
-        n - d + m - 1, m - 1
-    )
+    return shift_bound(mins), shift_bound(maxs)
 
 
 def linear_ball_boundary_h(n: int, d: int, m: int) -> tuple[int, ...]:
@@ -93,24 +81,14 @@ def cyclic_h(n: int, d: int) -> tuple[int, ...]:
     """h-vector of the boundary sphere of the cyclic (d-1)-polytope on n vertices."""
     if n < d or d < 1:
         raise ValueError("need n >= d >= 1")
-    return tuple(comb(n - d + min(i, d - 1 - i), min(i, d - 1 - i)) for i in range(d))
-
-
-def cyclic_multiplicity(n: int, d: int) -> int:
-    return sum(cyclic_h(n, d))
+    return linear_ball_boundary_h(n, d, (d + 1) // 2)
 
 
 def cyclic_max_shifts(n: int, d: int) -> list[int]:
     """Maximal resolution shifts of the cyclic boundary sphere, length n-d+1."""
     if n <= d:
         raise ValueError("need n > d")
-    sphere_dim = d - 1
-    if sphere_dim % 2 == 0:
-        out = [(d - 1) // 2 + i for i in range(1, n - d + 1)]
-    else:
-        out = [(d - 1) // 2 + i + 1 for i in range(1, n - d + 1)]
-    out.append(n)
-    return out
+    return _forced_shifts(n, d, (d + 1) // 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +183,7 @@ def check_conjecture(
     table = L_betti = U_betti = None
     if cert.shelling.ok:
         h = certified_h(ball, cert.shelling)
-        f = cxmod.f_from_h(h, d)
+        f = cxmod.f_from_h(h)
         m = cxmod.smallest_nonface_size(f)
     reasons: list[str] = []
     if not cert.shelling.ok:
@@ -222,7 +200,7 @@ def check_conjecture(
         reasons.append("no boundary")
     elif boundary is not None:
         e = len(boundary.facets)
-        bh = cxmod.h_vector(cxmod.f_vector(boundary), d - 1)
+        bh = cxmod.h_vector(cxmod.f_vector(boundary))
         if sum(bh) != e:
             raise ArithmeticError(
                 f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}"
@@ -233,9 +211,8 @@ def check_conjecture(
             reasons.append("interior vertex: not every vertex lies on the boundary")
 
         if m is not None:
-            params = BoundParams(n=n, d=d, m=m)
-            m_in_range = params.m_in_range
-            L, U = closed_form_bounds(params)
+            m_in_range = 2 <= m <= (d + 1) // 2
+            L, U = closed_form_bounds(n, d, m)
             if not m_in_range:
                 reasons.append(f"m out of range: need 2 <= {m} <= {(d + 1) // 2}")
             # m implies a shelling; one failing the ball check has no boundary or raised above

@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import bounds as bnd
 from . import complexes as cxmod
@@ -225,9 +224,7 @@ def cmd_cyclic(args) -> int:
     h = bnd.cyclic_h(n, d)
     mult = sum(h)
     ms = bnd.cyclic_max_shifts(n, d)
-    from math import factorial, prod
-
-    upper = Fraction(prod(ms), factorial(n - d + 1))
+    upper = bnd.shift_bound(ms)
     even_case = (d - 1) % 2 == 0
     payload = {
         "kind": "cyclic-comparator",

@@ -47,6 +47,15 @@ def _canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), vertices_of(mask))
 
 
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """Inclusion-minimal members of a family of masks, in canonical order."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=_canonical_key):
+        if not any(g & ~m == 0 for g in out):
+            out.append(m)
+    return out
+
+
 class SimplicialComplex:
     """Immutable simplicial complex on vertices ``0..n-1`` given by facets."""
 
@@ -174,10 +183,9 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     return tuple(len(levels.get(k, ())) for k in range(1, d + 1))
 
 
-def h_vector(f: Sequence[int], d: int) -> tuple[int, ...]:
-    """Binomial transform of the f-vector; ``f`` lists f_0..f_{d-1}."""
-    if len(f) != d:
-        raise ValueError(f"f-vector length {len(f)} does not match d={d}")
+def h_vector(f: Sequence[int]) -> tuple[int, ...]:
+    """Binomial transform of the f-vector f_0..f_{d-1}; returns h_0..h_d."""
+    d = len(f)
     fm = (1, *f)  # fm[i] = f_{i-1}
     return tuple(
         sum((-1) ** (k - i) * comb(d - i, k - i) * fm[i] for i in range(k + 1))
@@ -185,10 +193,9 @@ def h_vector(f: Sequence[int], d: int) -> tuple[int, ...]:
     )
 
 
-def f_from_h(h: Sequence[int], d: int) -> tuple[int, ...]:
+def f_from_h(h: Sequence[int]) -> tuple[int, ...]:
     """Inverse transform; returns f_0..f_{d-1} from h_0..h_d."""
-    if len(h) != d + 1:
-        raise ValueError(f"h-vector length {len(h)} does not match d={d}")
+    d = len(h) - 1
     return tuple(
         sum(comb(d - i, j - i) * h[i] for i in range(j + 1)) for j in range(1, d + 1)
     )
@@ -199,8 +206,7 @@ def multiplicity(cx: SimplicialComplex) -> int:
     if not cx.is_pure:
         raise ValueError("not pure")
     t = len(cx.facets)
-    f = f_vector(cx)
-    h = h_vector(f, len(f))
+    h = h_vector(f_vector(cx))
     if sum(h) != t:
         raise ArithmeticError(f"h-vector sum {sum(h)} disagrees with facet count {t}")
     return t

@@ -19,6 +19,7 @@ from .complexes import (
     SimplicialComplex,
     iter_bits,
     mask_of,
+    minimal_masks,
     minimal_nonface_masks,
     vertices_of,
 )
@@ -57,12 +58,7 @@ def minimal_vertex_covers(supports: list[int], n: int) -> list[int]:
         found.add(chosen)
 
     rec(0)
-    covers = sorted(found, key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for c in covers:
-        if not any(k & ~c == 0 for k in minimal):
-            minimal.append(c)
-    return sorted(minimal)
+    return sorted(minimal_masks(found))
 
 
 @dataclass(frozen=True)

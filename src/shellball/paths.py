@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, iter_bits, mask_of
+from .complexes import SimplicialComplex, iter_bits, mask_of, minimal_masks, vertices_of
 
 Point = tuple[int, int]
 
@@ -444,7 +444,7 @@ def sr_generators(spec: MinorSpec) -> list[tuple[Point, ...]]:
     violates the order.
     """
     m, n, r = spec.m, spec.n, spec.r
-    cands: list[tuple[Point, ...]] = []
+    cands: list[int] = []
     for s in range(1, r + 2):
         for rows in combinations(range(1, m + 1), s):
             for cols in combinations(range(1, n + 1), s):
@@ -452,17 +452,9 @@ def sr_generators(spec: MinorSpec) -> list[tuple[Point, ...]]:
                     spec.rows[i] <= rows[i] and spec.cols[i] <= cols[i] for i in range(s)
                 )
                 if not geq:
-                    cands.append(tuple(zip(rows, cols)))
-    cands.sort(key=len)
-    kept: list[tuple[Point, ...]] = []
-    kept_sets: list[frozenset[Point]] = []
-    for diag in cands:
-        dset = frozenset(diag)
-        if any(ks <= dset for ks in kept_sets):
-            continue
-        kept.append(diag)
-        kept_sets.append(dset)
-    return sorted(kept, key=lambda d: (len(d), d))
+                    cands.append(mask_of(map(spec.vertex_index, zip(rows, cols))))
+    # row-major indices order a diagonal's points, and diagonals, as the points do
+    return [tuple(map(spec.point_of, vertices_of(g))) for g in minimal_masks(cands)]
 
 
 def boundary_via_corners(facets: list[PathFamily], i: int):

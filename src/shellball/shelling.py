@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, _canonical_key, vertices_of
+from .complexes import SimplicialComplex, minimal_masks, vertices_of
 
 
 @dataclass
@@ -199,8 +199,4 @@ def certified_inside_faces(cx: SimplicialComplex, cert: BallCertificate) -> list
         for g in step.glued:
             core &= g.ridge
         bottoms.add(core)
-    out: list[int] = []
-    for m in sorted(bottoms, key=_canonical_key):
-        if not any(g & ~m == 0 for g in out):
-            out.append(m)
-    return [vertices_of(m) for m in out]
+    return [vertices_of(m) for m in minimal_masks(bottoms)]

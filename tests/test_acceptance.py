@@ -7,9 +7,6 @@ containment only transfers from cores to corner sets, not back); see
 tests/test_paths.py for the pinned counterexamples.
 """
 
-from fractions import Fraction
-from math import comb, factorial, prod
-
 import pytest
 
 import shellball as sb
@@ -57,9 +54,9 @@ def test_criterion_1_minor_2x3_pipeline(minor):
     assert len(fams) == 3
     assert cx.dim == 3
     f = sb.f_vector(cx)
-    assert sb.h_vector(f, 4) == (1, 2, 0, 0, 0)
+    assert sb.h_vector(f) == (1, 2, 0, 0, 0)
     boundary = sb.boundary_complex(cx)
-    bh = sb.h_vector(sb.f_vector(boundary), 3)
+    bh = sb.h_vector(sb.f_vector(boundary))
     assert bh == (1, 3, 3, 1)
     assert sb.multiplicity(boundary) == 8
 
@@ -119,12 +116,12 @@ def test_criterion_4_canonical_degrees(minor):
 
 def test_criterion_5_cyclic_comparators():
     for n, d in [(6, 5), (8, 5)]:
-        e = sb.cyclic_multiplicity(n, d)
-        bound = Fraction(prod(sb.cyclic_max_shifts(n, d)), factorial(n - d + 1))
+        e = sum(sb.cyclic_h(n, d))
+        bound = sb.shift_bound(sb.cyclic_max_shifts(n, d))
         assert e == bound
     for n, d in [(7, 4), (8, 4)]:
-        e = sb.cyclic_multiplicity(n, d)
-        bound = Fraction(prod(sb.cyclic_max_shifts(n, d)), factorial(n - d + 1))
+        e = sum(sb.cyclic_h(n, d))
+        bound = sb.shift_bound(sb.cyclic_max_shifts(n, d))
         assert e < bound
     line("criterion 5", "PASS  shift product exact for even sphere dim, strict for odd")
 
@@ -142,7 +139,7 @@ def test_criterion_6_polarization(polar):
         profile = sb.vector_profile(rep.boundary_h)
         assert profile.symmetric and profile.unimodal
         if rep.verdict == "INAPPLICABLE":
-            assert not sb.BoundParams(rep.n, rep.d, rep.m).m_in_range
+            assert rep.m_in_range is False
             assert rep.betti_bounds_ok
         else:
             assert rep.verdict == "PASS"
@@ -165,24 +162,20 @@ def test_criterion_7_alexander_duality(minor, polar):
 def test_criterion_8_cross_oracle_h_identities(minor, polar):
     for m, n, r in PIPELINE_INSTANCES:
         spec, fams, cx, order = minor(m, n, r)
-        f = sb.f_vector(cx)
-        d = len(f)
-        h = sb.h_vector(f, d)
+        h = sb.h_vector(sb.f_vector(cx))
         assert sb.h_via_corners(fams) == h
         assert sum(h) == len(cx.facets)
         assert sb.verify_ball(cx, order).ok
         boundary = sb.boundary_complex(cx)
-        bh = sb.h_vector(sb.f_vector(boundary), d - 1)
+        bh = sb.h_vector(sb.f_vector(boundary))
         assert sb.boundary_h_from_h(h) == bh
         assert sum(bh) == len(boundary.facets)
     for n, t in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         cx, order = polar(n, t)
-        f = sb.f_vector(cx)
-        d = len(f)
-        h = sb.h_vector(f, d)
+        h = sb.h_vector(sb.f_vector(cx))
         assert sum(h) == len(cx.facets)
         boundary = sb.boundary_complex(cx)
-        assert sb.boundary_h_from_h(h) == sb.h_vector(sb.f_vector(boundary), d - 1)
+        assert sb.boundary_h_from_h(h) == sb.h_vector(sb.f_vector(boundary))
     line("criterion 8", "PASS  corner tally = transform; boundary h identity; sum(h) = facets")
 
 

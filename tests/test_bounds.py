@@ -2,22 +2,20 @@ import csv
 import io
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
 from shellball import homology
 from shellball.bounds import (
     CSV_FIELDS,
-    BoundParams,
     betti_bounds,
     check_conjecture,
     closed_form_bounds,
     cyclic_h,
     cyclic_max_shifts,
-    cyclic_multiplicity,
     linear_ball_boundary_h,
-    lower_bound_estimate,
+    shift_bound,
 )
 from shellball.complexes import SimplicialComplex, boundary_complex, build_complex
 from shellball.homology import BettiTable, hochster_betti_table
@@ -27,29 +25,40 @@ from tests.test_complexes import MINOR23, SPHERE23
 
 
 def test_closed_form_bounds_2x3():
-    lo, hi = closed_form_bounds(BoundParams(6, 4, 2))
+    lo, hi = closed_form_bounds(6, 4, 2)
     assert (lo, hi) == (6, 12)
 
 
 def test_closed_form_degenerate():
     # n - d = 1: single product term
-    lo, hi = closed_form_bounds(BoundParams(5, 4, 2))
+    lo, hi = closed_form_bounds(5, 4, 2)
     assert lo == Fraction(5 * 2, 2) == 5
     assert hi == Fraction(5 * 3, 2)
 
 
 def test_closed_form_coincide_at_midpoint():
     # m - 1 = d - m makes the two products equal term by term
-    params = BoundParams(8, 5, 3)
-    lo, hi = closed_form_bounds(params)
+    lo, hi = closed_form_bounds(8, 5, 3)
     assert lo == hi
-    assert params.m_in_range
+
+
+def test_shift_bound():
+    assert shift_bound([3, 4, 5, 8]) == Fraction(3 * 4 * 5 * 8, 24) == 20
+    assert shift_bound([2, 3, 6]) == 6
+    assert shift_bound([]) == 1
 
 
 def test_m_range_flag():
-    assert BoundParams(6, 4, 2).m_in_range
-    assert not BoundParams(4, 2, 2).m_in_range
-    assert not BoundParams(6, 4, 1).m_in_range
+    # check_conjecture applies 2 <= m <= (d+1)//2
+    cases = [
+        (path_complex(MinorSpec.diagonal(2, 3, 1)), 4, 2, True),
+        (power_ideal_complex(2, 2), 2, 2, False),
+        (power_ideal_complex(2, 3), 4, 3, False),
+    ]
+    for (cx, order), d, m, in_range in cases:
+        rep = check_conjecture(cx, order)
+        assert (rep.d, rep.m, rep.m_in_range) == (d, m, in_range)
+        assert any("m out of range" in r for r in rep.reasons) is not in_range
 
 
 def test_betti_bounds_sphere23():
@@ -73,12 +82,57 @@ def test_betti_bounds_gap_error():
         betti_bounds(broken)
 
 
-def test_lower_bound_estimate():
-    assert lower_bound_estimate(BoundParams(6, 4, 2)) == 8
-    assert lower_bound_estimate(BoundParams(5, 4, 2)) == 6
-    # d = 2m kills the second term
-    p = BoundParams(7, 4, 2)
-    assert lower_bound_estimate(p) == 2 * (1 + 4)
+# The closed forms that the shift products and the neighborly identity
+# replaced, kept as oracles.
+
+
+def old_closed_form_bounds(n, d, m):
+    denom = factorial(n - d + 1)
+    lo = Fraction(n * prod(m + i - 1 for i in range(1, n - d + 1)), denom)
+    hi = Fraction(n * prod(d - m + i for i in range(1, n - d + 1)), denom)
+    return lo, hi
+
+
+def old_cyclic_max_shifts(n, d):
+    if (d - 1) % 2 == 0:
+        out = [(d - 1) // 2 + i for i in range(1, n - d + 1)]
+    else:
+        out = [(d - 1) // 2 + i + 1 for i in range(1, n - d + 1)]
+    return out + [n]
+
+
+def old_cyclic_h(n, d):
+    return tuple(comb(n - d + min(i, d - 1 - i), min(i, d - 1 - i)) for i in range(d))
+
+
+def old_multiplicity_estimate(n, d, m):
+    return 2 * sum(comb(n - d + i, i) for i in range(m)) + (d - 2 * m) * comb(n - d + m - 1, m - 1)
+
+
+ORACLE_ND = [(n, d) for d in range(1, 13) for n in range(d + 1, d + 9)]
+ORACLE_NDM = [(n, d, m) for n, d in ORACLE_ND for m in range(2, (d + 1) // 2 + 1)]
+
+
+def test_closed_form_bounds_match_old_form():
+    assert len(ORACLE_NDM) == 240
+    for n, d, m in ORACLE_NDM:
+        assert closed_form_bounds(n, d, m) == old_closed_form_bounds(n, d, m), (n, d, m)
+
+
+def test_cyclic_comparators_match_old_forms():
+    for n, d in ORACLE_ND:
+        assert cyclic_h(n, d) == old_cyclic_h(n, d), (n, d)
+        assert cyclic_max_shifts(n, d) == old_cyclic_max_shifts(n, d), (n, d)
+
+
+def test_forced_h_profile_sum():
+    # the forced h-profile sums to the old closed-form estimate
+    assert sum(linear_ball_boundary_h(6, 4, 2)) == 8
+    assert sum(linear_ball_boundary_h(5, 4, 2)) == 6
+    # d = 2m kills the estimate's second term
+    assert sum(linear_ball_boundary_h(7, 4, 2)) == 2 * (1 + 4)
+    for n, d, m in ORACLE_NDM:
+        assert sum(linear_ball_boundary_h(n, d, m)) == old_multiplicity_estimate(n, d, m)
 
 
 def test_linear_ball_boundary_h():
@@ -88,7 +142,7 @@ def test_linear_ball_boundary_h():
 
 def test_cyclic_h():
     assert cyclic_h(6, 5) == (1, 2, 3, 2, 1)
-    assert cyclic_multiplicity(6, 5) == 9
+    assert sum(cyclic_h(6, 5)) == 9
     assert cyclic_h(5, 4) == (1, 2, 2, 1)
     assert cyclic_h(4, 4) == (1, 1, 1, 1)
 
@@ -97,7 +151,7 @@ def test_cyclic_h_transform_round_trip():
     from shellball.complexes import f_from_h, h_vector
 
     h = cyclic_h(6, 5)  # five entries: the sphere ring has dimension 4
-    assert h_vector(f_from_h(h, 4), 4) == h
+    assert h_vector(f_from_h(h)) == h
 
 
 def test_cyclic_max_shifts():
@@ -107,16 +161,12 @@ def test_cyclic_max_shifts():
 
 @pytest.mark.parametrize("n,d", [(6, 5), (8, 5)])
 def test_cyclic_equality_even_sphere_dimension(n, d):
-    e = cyclic_multiplicity(n, d)
-    bound = Fraction(prod(cyclic_max_shifts(n, d)), factorial(n - d + 1))
-    assert e == bound
+    assert sum(cyclic_h(n, d)) == shift_bound(cyclic_max_shifts(n, d))
 
 
 @pytest.mark.parametrize("n,d", [(7, 4), (8, 4)])
 def test_cyclic_strict_odd_sphere_dimension(n, d):
-    e = cyclic_multiplicity(n, d)
-    bound = Fraction(prod(cyclic_max_shifts(n, d)), factorial(n - d + 1))
-    assert e < bound
+    assert sum(cyclic_h(n, d)) < shift_bound(cyclic_max_shifts(n, d))
 
 
 def test_check_conjecture_minor23():
@@ -302,7 +352,7 @@ def test_comparison_chain_h_entrywise():
         assert len(rep.boundary_h) == len(star)
         assert all(a <= b for a, b in zip(rep.boundary_h, star))
         assert rep.e <= sum(star)
-        assert lower_bound_estimate(BoundParams(rep.n, rep.d, rep.m)) <= rep.e
+        assert sum(linear_ball_boundary_h(rep.n, rep.d, rep.m)) <= rep.e
 
 
 def test_report_csv_row():

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from shellball import bounds
 from shellball.cli import main
 from shellball.complexes import build_complex, complex_to_text
+from shellball.paths import MinorSpec, path_complex
 from tests.test_complexes import MINOR23, SPHERE23
 
 
@@ -260,6 +263,8 @@ def test_library_value_errors_exit_2(tmp_path, monkeypatch, capsys, argv, line):
         ("corners m=4 n=5 r=1 x=1", "error: unknown parameter 'x' (want m, n, r)"),
         ("cyclic n=8 d=5 q=1", "error: unknown parameter 'q' (want n, d)"),
         ("dual m=2 n=3 r=9", "error: unknown parameter 'r' (want m, n)"),
+        ("check minor m=3 n4 r=1", "error: expected key=value, got 'n4'"),
+        ("check", "error: check needs a kind (minor|polar) or --file"),
     ],
 )
 def test_stray_parameters_are_usage_errors(tmp_path, monkeypatch, capsys, argv, line):
@@ -267,6 +272,23 @@ def test_stray_parameters_are_usage_errors(tmp_path, monkeypatch, capsys, argv, 
     code, stdout, err = run(capsys, *argv.split())
     assert (code, stdout, err) == (2, "", line + "\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_missing_file_is_io_error(tmp_path, capsys):
+    code, stdout, err = run(capsys, "check", "--file", str(tmp_path / "missing.cx"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("i/o error:")
+
+
+def test_fail_verdict_exits_1(monkeypatch, capsys):
+    # no corpus instance gives FAIL, so a PASS report is relabelled
+    passing = bounds.check_conjecture(*path_complex(MinorSpec.diagonal(2, 3, 1)))
+    assert passing.verdict == "PASS"
+    failing = dataclasses.replace(passing, verdict="FAIL")
+    monkeypatch.setattr(bounds, "check_conjecture", lambda *args, **kwargs: failing)
+    code, stdout, err = run(capsys, "check", "minor", "m=2", "n=3", "r=1")
+    assert (code, err) == (1, "")
+    assert json.loads(stdout) == {**failing.to_json_dict(), "seed": 0}
 
 
 def test_kind_with_file_is_usage_error(tmp_path, capsys):

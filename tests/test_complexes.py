@@ -61,6 +61,15 @@ def test_build_errors():
         SimplicialComplex(200, [1])
 
 
+def test_simplicial_complex_input_errors():
+    with pytest.raises(ValueError, match="vertex out of range"):
+        SimplicialComplex(2, [4])
+    with pytest.raises(ValueError, match="labels length must equal n"):
+        SimplicialComplex(2, [3], ["a"])
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        SimplicialComplex(2, [3], ["a", "a"])
+
+
 def test_canonical_order_is_size_then_lex():
     cx = build_complex([{2, 3, 4}, {0, 3}, {1, 2}], 5)
     assert [vertices_of(f) for f in cx.facets] == [(0, 3), (1, 2), (2, 3, 4)]
@@ -82,23 +91,18 @@ def test_f_vector_matches_bruteforce_oracle():
 
 
 def test_h_vector_simplex():
-    assert h_vector((3, 3, 1), 3) == (1, 0, 0, 0)
+    assert h_vector((3, 3, 1)) == (1, 0, 0, 0)
 
 
 def test_h_vector_minor23():
     cx = build_complex(MINOR23, 6)
     assert f_vector(cx) == (6, 12, 10, 3)
-    assert h_vector((6, 12, 10, 3), 4) == (1, 2, 0, 0, 0)
-
-
-def test_h_vector_length_mismatch():
-    with pytest.raises(ValueError):
-        h_vector((3, 3, 1), 4)
+    assert h_vector((6, 12, 10, 3)) == (1, 2, 0, 0, 0)
 
 
 def test_f_h_round_trip():
-    for f, d in [((3, 3, 1), 3), ((6, 12, 10, 3), 4), ((4, 4), 2), ((5,), 1)]:
-        assert f_from_h(h_vector(f, d), d) == f
+    for f in [(3, 3, 1), (6, 12, 10, 3), (4, 4), (5,)]:
+        assert f_from_h(h_vector(f)) == f
 
 
 def test_minimal_nonfaces_square():
@@ -291,8 +295,8 @@ def test_boundary_h_from_h():
 def test_boundary_h_matches_direct_boundary_on_minor23():
     cx = build_complex(MINOR23, 6)
     bd = boundary_complex(cx)
-    direct = h_vector(f_vector(bd), 3)
-    assert boundary_h_from_h(h_vector(f_vector(cx), 4)) == direct == (1, 3, 3, 1)
+    direct = h_vector(f_vector(bd))
+    assert boundary_h_from_h(h_vector(f_vector(cx))) == direct == (1, 3, 3, 1)
 
 
 def test_vector_profile():

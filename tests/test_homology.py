@@ -110,6 +110,7 @@ def test_hochster_full_simplex():
     assert tab.entries == {(0, 0): 1}
     assert tab.p == 0
     assert shifts(tab) == ([], [])
+    assert linear_resolution_reason(tab, 2) == (True, "zero ideal")
 
 
 def test_hochster_path22():

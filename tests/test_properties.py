@@ -69,16 +69,14 @@ def test_text_round_trip_of_random_complexes(cx, labelled):
 @given(complexes())
 def test_f_h_round_trip(cx):
     f = f_vector(cx)
-    d = len(f)
-    assert f_from_h(h_vector(f, d), d) == f
+    assert f_from_h(h_vector(f)) == f
 
 
 @given(pure_complexes())
 def test_h_sums_to_facet_count(cx):
     if not cx.is_pure:
         return
-    f = f_vector(cx)
-    assert sum(h_vector(f, len(f))) == len(cx.facets) == multiplicity(cx)
+    assert sum(h_vector(f_vector(cx))) == len(cx.facets) == multiplicity(cx)
 
 
 MINOR_INSTANCES = [(2, 3, 1), (3, 4, 1), (3, 4, 2), (3, 5, 1)]
@@ -105,10 +103,9 @@ def test_ball_boundary_h_identity(params):
     m, n, r = params
     cx, order = path_complex(MinorSpec.diagonal(m, n, r))
     assert verify_ball(cx, order).ok
-    d = cx.dim + 1
     bd = boundary_complex(cx)
-    direct = h_vector(f_vector(bd), d - 1)
-    assert boundary_h_from_h(h_vector(f_vector(cx), d)) == direct
+    direct = h_vector(f_vector(bd))
+    assert boundary_h_from_h(h_vector(f_vector(cx))) == direct
     assert vector_profile(direct).symmetric
 
 
@@ -118,10 +115,9 @@ def test_polar_boundary_h_identity(params):
     n, t = params
     cx, order = power_ideal_complex(n, t)
     assert verify_ball(cx, order).ok
-    d = cx.dim + 1
     bd = boundary_complex(cx)
-    direct = h_vector(f_vector(bd), d - 1)
-    assert boundary_h_from_h(h_vector(f_vector(cx), d)) == direct
+    direct = h_vector(f_vector(bd))
+    assert boundary_h_from_h(h_vector(f_vector(cx))) == direct
     assert vector_profile(direct).symmetric
 
 
@@ -254,7 +250,7 @@ def test_certified_h_matches_lattice(case):
     cx, order = case
     shell = verify_shelling(cx, order)
     assert shell.ok
-    assert certified_h(cx, shell) == h_vector(f_vector(cx), cx.dim + 1)
+    assert certified_h(cx, shell) == h_vector(f_vector(cx))
 
 
 @given(certified_balls)
@@ -272,7 +268,7 @@ def test_certified_inside_faces_match_lattice(case):
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_smallest_nonface_size_from_certified_f(case):
     cx, order = case
-    f = f_from_h(certified_h(cx, verify_shelling(cx, order)), cx.dim + 1)
+    f = f_from_h(certified_h(cx, verify_shelling(cx, order)))
     m = smallest_nonface_size(f)
     assert m == lattice_smallest_nonface_size(cx) == subset_smallest_nonface_size(cx)
 

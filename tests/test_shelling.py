@@ -11,6 +11,8 @@ from shellball.shelling import (
     GluedRidge,
     ShellingCertificate,
     ShellingStep,
+    certified_h,
+    certified_inside_faces,
     verify_ball,
     verify_shelling,
 )
@@ -77,6 +79,8 @@ def test_disconnected_fails():
     cx = build_complex([{0, 1}, {2, 3}], 4)
     cert = verify_shelling(cx, [0, 1])
     assert not cert.ok and "empty intersection" in cert.reason
+    with pytest.raises(ValueError, match="passing shelling certificate"):
+        certified_h(cx, cert)
 
 
 def test_points():
@@ -107,7 +111,9 @@ def test_triangle_boundary_is_not_a_ball():
     cert = verify_ball(cx, [0, 1, 2])
     assert not cert.ok
     assert cert.failed_step == 2
-    assert "sphere" in cert.reason
+    assert cert.reason == "all ridges glued: closes to a sphere or worse"
+    with pytest.raises(ValueError, match="inside faces need a passing ball certificate"):
+        certified_inside_faces(cx, cert)
 
 
 def test_ridge_in_two_earlier_facets_fails_ball():
