@@ -10,6 +10,10 @@ Commands take key=value parameters, e.g.::
     shellball corners m=6 n=7 r=3
     shellball cyclic n=8 d=5
 
+`generate` writes the facet lines in the certified shelling order, and
+`check --file` takes its order from the file's lines, so the file is the
+one record of both the complex and its order.
+
 Exit codes: 0 all verdicts PASS, 1 any FAIL, 2 usage or I/O error,
 3 verdicts INAPPLICABLE only.  Reports are byte-stable for fixed inputs:
 canonical JSON key order, sorted lists, and every numeric field an exact
@@ -22,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import bounds as bnd
@@ -106,7 +109,7 @@ def cmd_generate(args) -> int:
     cx, order, name = _build_instance(args.kind, args.params, args.max_facets)
     out_path = args.out or (name.replace(" ", "_").replace("=", "") + ".cx")
     # the text is built before the file is opened, so a refused complex leaves no file
-    _emit(cxmod.complex_to_text(cx), out_path)
+    _emit(cxmod.complex_to_text(cx, order), out_path)
     meta = {
         "instance": name,
         "file": out_path,
@@ -115,8 +118,6 @@ def cmd_generate(args) -> int:
         "dim": cx.dim,
         "shelling_order": order,
     }
-    # sidecar with the certified facet order; `check --file` picks it up
-    _emit(canonical_json(meta), out_path + ".meta.json")
     _emit(canonical_json(meta), None)
     return EXIT_PASS
 
@@ -144,21 +145,6 @@ def cmd_check(args) -> int:
             raise UsageError("check takes a kind (minor|polar) or --file, not both")
         with open(args.file, "r", encoding="utf-8") as fh:
             cx, order = cxmod.complex_from_text_with_order(fh.read())
-        meta_path = args.file + ".meta.json"
-        if os.path.exists(meta_path):
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if not isinstance(meta, dict):
-                raise UsageError(f"{meta_path}: sidecar is not a JSON object")
-            recorded = meta.get("shelling_order")
-            if recorded is not None:
-                if not isinstance(recorded, list) or any(type(k) is not int for k in recorded):
-                    raise UsageError(f"{meta_path}: shelling_order is not a list of integers")
-                if sorted(recorded) != list(range(len(cx.facets))):
-                    raise UsageError(
-                        f"{meta_path}: shelling_order is not a permutation of the facets"
-                    )
-                order = recorded
         name = f"file {args.file}"
     else:
         if not args.kind:

@@ -350,21 +350,26 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
 # text format
 
 
-def complex_to_text(cx: SimplicialComplex) -> str:
+def complex_to_text(cx: SimplicialComplex, order: Sequence[int]) -> str:
     """Serialize: "n=<int>", optional "labels=<comma-separated>", one facet per line.
 
-    The format has no line for an empty facet, so the void complex and the
-    empty complex (only the empty face) raise ValueError.
+    The facet lines follow `order`, a permutation of the canonical facet
+    indices (a shelling order, say), so `complex_from_text_with_order`
+    reads back both the complex and `order`.  The format has no line for an
+    empty facet, so the void complex and the empty complex (only the empty
+    face) raise ValueError.
     """
     if not cx.facets:
         raise ValueError("the void complex has no facet, and the text format needs a facet line")
     if cx.facets == (0,):
         raise ValueError("the text format has no line for an empty facet")
+    if sorted(order) != list(range(len(cx.facets))):
+        raise ValueError("order is not a permutation of the facet indices")
     lines = [f"n={cx.n}"]
     if cx.labels is not None:
         lines.append("labels=" + ",".join(cx.labels))
-    for f in cx.facets:
-        lines.append(" ".join(str(v) for v in vertices_of(f)))
+    for k in order:
+        lines.append(" ".join(str(v) for v in vertices_of(cx.facets[k])))
     return "\n".join(lines) + "\n"
 
 
@@ -372,10 +377,10 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
     """Parse a complex file; also return the file's facet order.
 
     The order lists canonical facet indices in the sequence the file gave
-    them (duplicates and absorbed facets dropped), which a caller can use
-    as a shelling-order candidate.  A malformed line, or a file that ends
-    before its first facet line, raises ValueError naming its line number
-    in the file and the expected form.
+    them (duplicates and absorbed facets dropped); for a file written by
+    `complex_to_text(cx, order)` it is `order`.  A malformed line, or a
+    file that ends before its first facet line, raises ValueError naming
+    its line number in the file and the expected form.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
     (i, head), *rest = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")] or [(1, "")]

@@ -125,25 +125,25 @@ def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
     earlier = [0] * cx.n  # per vertex, the bitset of positions of earlier facets holding it
     steps: list[ShellingStep] = []
     for i, fi in enumerate(ordered):
-        vs = vertices_of(fi)
-        if i:
-            # for points the ridge is the empty face, glued to every earlier facet
-            glued = []
-            common = -1  # earlier facets holding R_i; an empty R_i lies in all of them
-            for v in reversed(vs):  # a larger v leaves a smaller ridge mask
-                ridge = fi ^ (1 << v)
-                if ridge in holders:
-                    glued.append(GluedRidge(ridge=ridge, in_earlier=tuple(holders[ridge])))
-                    common &= earlier[v]
-            if common:
-                inters = [fi & g for g in ordered[:i]]
-                return ShellingCertificate(
-                    order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
-                )
-            steps.append(ShellingStep(position=i, facet_index=order[i], glued=glued))
-        for v in vs:
-            holders.setdefault(fi ^ (1 << v), []).append(i)
+        # for points the ridge is the empty face, glued to every earlier facet
+        glued = []
+        common = -1  # earlier facets holding R_i; an empty R_i lies in all of them
+        for v in reversed(vertices_of(fi)):  # a larger v leaves a smaller ridge mask
+            ridge = fi ^ (1 << v)
+            held = holders.setdefault(ridge, [])
+            if held:
+                glued.append(GluedRidge(ridge=ridge, in_earlier=tuple(held)))
+                common &= earlier[v]
+            held.append(i)
             earlier[v] |= 1 << i
+        if not i:
+            continue
+        if common:
+            inters = [fi & g for g in ordered[:i]]
+            return ShellingCertificate(
+                order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
+            )
+        steps.append(ShellingStep(position=i, facet_index=order[i], glued=glued))
     return ShellingCertificate(order, steps, ok=True)
 
 

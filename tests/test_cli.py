@@ -5,8 +5,9 @@ import pytest
 
 from shellball import bounds
 from shellball.cli import main
-from shellball.complexes import build_complex, complex_to_text
+from shellball.complexes import build_complex, complex_from_text_with_order, complex_to_text
 from shellball.paths import MinorSpec, path_complex
+from shellball.polarization import power_ideal_complex
 from tests.test_complexes import MINOR23, SPHERE23
 
 
@@ -14,6 +15,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_complex(path, facets, order=None):
+    """Write the complex on 6 vertices, its facet lines in `order` (default: canonical)."""
+    cx = build_complex(facets, 6)
+    path.write_text(complex_to_text(cx, order or range(len(cx.facets))))
 
 
 def test_generate_minor(tmp_path, capsys):
@@ -75,7 +82,7 @@ def test_check_polar_inapplicable_exit_3(capsys):
 
 def test_check_sphere_file(tmp_path, capsys):
     path = tmp_path / "sphere.cx"
-    path.write_text(complex_to_text(build_complex(SPHERE23, 6)))
+    write_complex(path, SPHERE23)
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
     rep = json.loads(stdout)
@@ -85,27 +92,38 @@ def test_check_sphere_file(tmp_path, capsys):
 
 def test_check_ball_file(tmp_path, capsys):
     path = tmp_path / "ball.cx"
-    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
+    write_complex(path, MINOR23)
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 0
     assert json.loads(stdout)["verdict"] == "PASS"
 
 
 def test_generate_then_check_roundtrip_uses_sidecar_order(tmp_path, capsys):
-    out = tmp_path / "gen.cx"
-    code, _, _ = run(capsys, "generate", "minor", "m=3", "n=4", "r=2", "--out", str(out))
-    assert code == 0
-    assert (tmp_path / "gen.cx.meta.json").exists()
-    code, stdout, _ = run(capsys, "check", "--file", str(out))
-    assert code == 0
-    rep = json.loads(stdout)
-    assert rep["verdict"] == "PASS" and rep["ball_pass"]
+    # generate writes no sidecar: the certified order is the order of the file's lines.
+    # The polar's order is not the canonical one, which fails the ball check.
+    instances = [
+        (["minor", "m=3", "n=4", "r=2"], path_complex(MinorSpec.diagonal(3, 4, 2))),
+        (["polar", "n=3", "t=3"], power_ideal_complex(3, 3)),
+    ]
+    for params, (cx, order) in instances:
+        out = tmp_path / "gen.cx"
+        code, stdout, _ = run(capsys, "generate", *params, "--out", str(out))
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["gen.cx"]
+        assert complex_from_text_with_order(out.read_text()) == (cx, order)
+        assert json.loads(stdout)["shelling_order"] == order
+        code, stdout, _ = run(capsys, "check", "--file", str(out))
+        rep = json.loads(stdout)
+        assert rep["ball_pass"] and (code, rep["verdict"]) == (0, "PASS")
+        _, stdout_kind, _ = run(capsys, "check", *params)
+        assert {**json.loads(stdout_kind), "instance": rep["instance"]} == rep
 
 
 def test_sidecar_order_that_fails_to_shell_reports_null_ball_data(tmp_path, capsys):
+    # the file's lines give the order [0, 2, 1]; a sidecar beside it is not read
     path = tmp_path / "ball.cx"
-    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
-    (tmp_path / "ball.cx.meta.json").write_text(json.dumps({"shelling_order": [0, 2, 1]}))
+    write_complex(path, MINOR23, [0, 2, 1])
+    (tmp_path / "ball.cx.meta.json").write_text(json.dumps({"shelling_order": [0, 1, 2]}))
     code, stdout, _ = run(capsys, "check", "--file", str(path))
     assert code == 3
     rep = json.loads(stdout)
@@ -117,24 +135,6 @@ def test_sidecar_order_that_fails_to_shell_reports_null_ball_data(tmp_path, caps
     code, stdout, _ = run(capsys, "check", "--file", str(path), "--format", "text")
     assert code == 3
     assert "\nh: None\n" in stdout
-
-
-@pytest.mark.parametrize(
-    "sidecar, complaint",
-    [
-        ([0, 1, 2], "not a JSON object"),
-        ({"shelling_order": [0, "a", 2]}, "not a list of integers"),
-        ({"shelling_order": [0, 1]}, "shelling_order is not a permutation of the facets"),
-        ({"shelling_order": [0, 0, 1]}, "shelling_order is not a permutation of the facets"),
-    ],
-)
-def test_malformed_sidecar_is_usage_error(tmp_path, capsys, sidecar, complaint):
-    path = tmp_path / "ball.cx"
-    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
-    (tmp_path / "ball.cx.meta.json").write_text(json.dumps(sidecar))
-    code, stdout, err = run(capsys, "check", "--file", str(path))
-    assert code == 2 and not stdout
-    assert err.startswith("error: ") and complaint in err
 
 
 def test_check_csv(capsys):
@@ -293,7 +293,7 @@ def test_fail_verdict_exits_1(monkeypatch, capsys):
 
 def test_kind_with_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "ball.cx"
-    path.write_text(complex_to_text(build_complex(MINOR23, 6)))
+    write_complex(path, MINOR23)
     code, stdout, err = run(capsys, "check", "polar", "n=3", "t=2", "--file", str(path))
     assert code == 2 and not stdout
     assert err == "error: check takes a kind (minor|polar) or --file, not both\n"

@@ -336,10 +336,16 @@ def test_nonface_monotonicity_spot_check():
 
 def test_text_round_trip():
     cx = build_complex(MINOR23, 6, labels=[f"v{i}" for i in range(6)])
-    text = complex_to_text(cx)
-    assert text.splitlines()[0] == "n=6"
-    back, _ = complex_from_text_with_order(text)
-    assert back == cx and back.labels == cx.labels
+    text = complex_to_text(cx, [2, 0, 1])
+    assert text.splitlines() == ["n=6", "labels=v0,v1,v2,v3,v4,v5", "2 3 4 5", "0 1 2 3", "1 2 3 4"]
+    back, order = complex_from_text_with_order(text)
+    assert back == cx and back.labels == cx.labels and order == [2, 0, 1]
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 0]])
+def test_text_writer_refuses_an_order_that_is_not_a_permutation(order):
+    with pytest.raises(ValueError, match="not a permutation"):
+        complex_to_text(build_complex(MINOR23, 6), order)
 
 
 def test_text_reader_tolerates_order_and_tracks_it():
@@ -367,7 +373,7 @@ def test_text_reader_order_skips_duplicate_and_absorbed_lines():
 )
 def test_text_writer_refuses_complexes_without_a_facet_line(cx, message):
     with pytest.raises(ValueError, match=message):
-        complex_to_text(cx)
+        complex_to_text(cx, range(len(cx.facets)))
 
 
 def test_text_reader_rejects_garbage():

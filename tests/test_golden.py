@@ -153,12 +153,9 @@ def groups():
 
 
 BALL = "n=6\n0 1 2 3\n1 2 3 4\n2 3 4 5\n"
+BALL_021 = "n=6\n0 1 2 3\n2 3 4 5\n1 2 3 4\n"  # BALL's facets in the order [0, 2, 1]
 SPHERE = "n=6\n0 1 2\n0 1 3\n0 2 3\n1 2 4\n1 3 4\n2 3 5\n2 4 5\n3 4 5\n"
 THREE_TRIANGLES = "n=5\n0 1 2\n0 1 3\n0 1 4\n"
-
-
-def _with_sidecar(sidecar) -> dict[str, str]:
-    return {"ball.cx": BALL, "ball.cx.meta.json": json.dumps(sidecar)}
 
 
 @functools.cache
@@ -227,17 +224,8 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         ("check --file bad.cx", {"bad.cx": "n=5\n0 1 2\n3 4\n"}),
         ("check polar n=3 t=2 --file ball.cx", {"ball.cx": BALL}),
         *(
-            (f"check --file ball.cx{fmt}", _with_sidecar({"shelling_order": [0, 2, 1]}))
+            (f"check --file ball.cx{fmt}", {"ball.cx": BALL_021})
             for fmt in ("", " --format csv", " --format text")
-        ),
-        *(
-            ("check --file ball.cx", _with_sidecar(sidecar))
-            for sidecar in (
-                [0, 1, 2],
-                {"shelling_order": [0, "a", 2]},
-                {"shelling_order": [0, 1]},
-                {"shelling_order": [0, 0, 1]},
-            )
         ),
         *(
             ("check --file bad.cx", {"bad.cx": text})
@@ -292,6 +280,16 @@ def _load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """`key: old -> new` for each entry added, changed or dropped (a missing side is null)."""
+    return [
+        f"{key}: {json.dumps(old.get(key), sort_keys=True)} -> "
+        f"{json.dumps(new.get(key), sort_keys=True)}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key) != new.get(key)
+    ]
+
+
 @pytest.mark.parametrize("name", list(groups()))
 def test_reports_match_golden(name):
     got = _runs(name, groups()[name])
@@ -316,7 +314,21 @@ def test_golden_file_lists_exactly_the_corpus():
     assert keys == set(_load())
 
 
+def test_golden_changes_lists_every_added_changed_and_dropped_key():
+    old = {"kept": {"exit": 0}, "changed": {"exit": 0}, "dropped": {"exit": 2}}
+    new = {"kept": {"exit": 0}, "changed": {"exit": 3}, "added": {"exit": 1}}
+    assert golden_changes(old, new) == [
+        'added: null -> {"exit": 1}',
+        'changed: {"exit": 0} -> {"exit": 3}',
+        'dropped: {"exit": 2} -> null',
+    ]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    new = compute_all()
+    # a re-pin is listed, never silent
+    for line in golden_changes(_load(), new):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")

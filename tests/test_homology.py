@@ -1,8 +1,19 @@
+import functools
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 
 from shellball import homology
-from shellball.complexes import boundary_complex, build_complex, iter_bits, minimal_nonfaces
+from shellball.complexes import (
+    boundary_complex,
+    build_complex,
+    f_from_h,
+    iter_bits,
+    minimal_nonfaces,
+    smallest_nonface_size,
+)
 from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
 from shellball.homology import (
     BettiTable,
@@ -17,7 +28,7 @@ from shellball.homology import (
 )
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
-from shellball.shelling import verify_ball
+from shellball.shelling import certified_h, verify_ball
 from tests.test_complexes import MINOR23, SPHERE23
 from tests.test_properties import pure_complexes
 
@@ -384,9 +395,9 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     assert len(calls) == 10
 
 
-def _certified_boundaries():
-    """Boundaries of every minor and polar ball on a grid of at most 12 points
-    whose ball certificate passes; each is a homology sphere."""
+def _certified_balls():
+    """Every minor and polar ball on a grid of at most 12 points whose ball
+    certificate passes, with its certificate and boundary."""
     balls = [
         (f"minor {m} {n} {r}", *path_complex(MinorSpec.diagonal(m, n, r)))
         for m in range(1, 4)
@@ -399,12 +410,14 @@ def _certified_boundaries():
         for t in range(2, 12 // n + 1)
     ]
     for name, ball, order in balls:
-        bd = boundary_complex(ball)
-        if verify_ball(ball, order).ok and bd.facets:
-            yield f"{name} boundary", bd
+        cert = verify_ball(ball, order)
+        if cert.ok:
+            yield name, ball, cert, boundary_complex(ball)
 
 
-SPHERES = list(_certified_boundaries())
+BALLS = list(_certified_balls())
+# each boundary of a certified ball is a homology sphere
+SPHERES = [(f"{name} boundary", bd) for name, _, _, bd in BALLS if bd.facets]
 
 
 @pytest.mark.parametrize("name,cx", SPHERES, ids=[name for name, _ in SPHERES])
@@ -439,3 +452,67 @@ def test_reduced_homology_matches_leafwise_oracle(name, cx):
 def test_reduced_homology_matches_leafwise_oracle_random(cx):
     for field in (0, 2, 3):
         assert reduced_homology_ranks(cx, field) == leafwise_homology(cx, field), field
+
+
+@functools.cache
+def _linear_data():
+    """(name, ball, boundary, d, m, deg h, linear) for each certified ball with m defined.
+
+    `linear` is the oracle: the ball's Hochster table is m-linear.
+    """
+    out = []
+    for name, ball, cert, bd in BALLS:
+        h = certified_h(ball, cert.shelling)
+        m = smallest_nonface_size(f_from_h(h))
+        if m is not None:
+            linear = has_linear_resolution(hochster_betti_table(ball, max_vertices=12), m)
+            deg_h = max(k for k, hk in enumerate(h) if hk)
+            out.append((name, ball, bd, len(h) - 1, m, deg_h, linear))
+    return out
+
+
+def test_linear_resolution_iff_h_degree_below_m():
+    # A shelled complex is Cohen-Macaulay, so reg(S/I) = deg h (Eisenbud, The
+    # Geometry of Syzygies, ch. 4); I is generated in degrees >= m, so it has an
+    # m-linear resolution exactly when deg h <= m - 1.
+    verdicts = {}
+    for name, ball, _, _, m, deg_h, linear in _linear_data():
+        assert len(ball.used_vertices) <= 12
+        assert (deg_h <= m - 1) == linear, name
+        verdicts[name] = linear
+    assert not verdicts["minor 3 3 1"] and not verdicts["minor 3 4 1"]
+    assert sum(verdicts.values()) >= 10
+
+
+def closed_form_boundary_betti(n: int, d: int, m: int) -> dict[tuple[int, int], int]:
+    """Betti table of the boundary of a linear ball on n vertices, dimension d - 1.
+
+    With c = n - d the mapping cone of the linear resolution of k[ball] and
+    the dual resolution of its canonical module (Bruns-Herzog, Cohen-Macaulay
+    Rings, ch. 5) gives beta_00 = beta_{c+1,n} = 1 and, for i = 1..c, the
+    Herzog-Kuehl number C(i+m-2, m-1) C(c+m-1, i+m-1) at (i, m+i-1) and at its
+    mirror (c+1-i, n-m-i+1).  When d = 2m - 1 the two strands share a degree
+    and add up.
+    """
+    c = n - d
+    entries = Counter({(0, 0): 1, (c + 1, n): 1})
+    for i in range(1, c + 1):
+        beta = comb(i + m - 2, m - 1) * comb(c + m - 1, i + m - 1)
+        entries[(i, m + i - 1)] += beta
+        entries[(c + 1 - i, n - m - i + 1)] += beta
+    return dict(entries)
+
+
+def test_closed_form_boundary_betti_of_linear_balls():
+    cases = set()
+    for name, ball, bd, d, m, _, linear in _linear_data():
+        if not (linear and 2 <= m <= (d + 1) // 2 and bd.used_mask == ball.used_mask):
+            continue
+        want = closed_form_boundary_betti(len(ball.used_vertices), d, m)
+        for field in (0, 2, 3):
+            assert hochster_betti_table(bd, field, sphere=True).entries == want, (name, field)
+        cases.add(name)
+    assert cases >= {
+        "minor 2 3 1", "minor 2 4 1", "minor 3 3 2", "minor 3 4 2",
+        "polar 3 2", "polar 3 3", "polar 4 2", "polar 4 3",
+    }

@@ -57,13 +57,16 @@ def pure_complexes(draw, max_n=7):
     return build_complex(facets, n)
 
 
-@given(complexes(), st.booleans())
-def test_text_round_trip_of_random_complexes(cx, labelled):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(complexes(), st.booleans(), st.randoms(use_true_random=False))
+def test_text_round_trip_of_random_complexes(cx, labelled, rng):
+    # the writer and the reader are exact inverses on (complex, facet order)
     if labelled:
         cx = SimplicialComplex(cx.n, cx.facets, [f"x{v}" for v in range(cx.n)])
-    back, order = complex_from_text_with_order(complex_to_text(cx))
-    assert back == cx and back.labels == cx.labels
-    assert order == list(range(len(cx.facets)))
+    order = list(range(len(cx.facets)))
+    rng.shuffle(order)
+    back, back_order = complex_from_text_with_order(complex_to_text(cx, order))
+    assert back == cx and back.labels == cx.labels and back_order == order
 
 
 @given(complexes())
