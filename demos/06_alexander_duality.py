@@ -8,11 +8,13 @@ shifted diagonals.
 
 import shellball as sb
 from shellball.complexes import vertices_of
-from shellball.duality import maximal_minor_diagonals
 
 m, n = 3, 4
 print(f"dual matrix of a {m}x{n} matrix (identified entries shown as X..):\n")
-print(sb.dual_matrix(m, n).display())
+ymat = sb.dual_matrix(m, n)
+for k in range(1, n - m + 2):
+    row = [f"X{x[0]}{x[1]}" if (x := ymat[k, c]) else f"Y{k}{c}" for c in range(1, n + 1)]
+    print(" ".join(f"{e:>4}" for e in row))
 
 verdict = sb.verify_dual_theorem(m, n)
 print(
@@ -21,7 +23,7 @@ print(
 )
 
 print("\ngenerators of the maximal-minor initial ideal:")
-for d in maximal_minor_diagonals(m, n):
+for d in sb.sr_generators(sb.MinorSpec.diagonal(m, n, m - 1)):
     print(f"  {d}")
 
 cx, _ = sb.path_complex(sb.MinorSpec.diagonal(2, 3, 1))

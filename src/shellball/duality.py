@@ -5,14 +5,16 @@ the minimal nonfaces; equivalently, the minimal generators of the dual
 ideal are the minimal vertex covers of the original generators.  For the
 initial ideal of the maximal minors of an m x n matrix X, those covers are
 exactly the maximal-minor diagonals of an (n-m+1) x n matrix Y glued to X
-along Y[i, j+i-1] = X[j, j+i-1]; verifying that identity reduces to two
-finite inclusions over the identified variables, checked here by explicit
-enumeration of diagonals on one side and of minimal covers on the other.
+along shifted diagonals: `dual_matrix(m, n)` maps each entry of Y to the
+entry of X it is identified with, or to None when it is a free variable.
+Verifying the identity reduces to two finite inclusions over the
+identified variables, checked here by explicit enumeration of diagonals on
+one side and of minimal covers on the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .complexes import (
@@ -23,6 +25,7 @@ from .complexes import (
     minimal_nonface_masks,
     vertices_of,
 )
+from .paths import MinorSpec, Point, sr_generators
 
 
 def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
@@ -38,7 +41,7 @@ def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.n, [full ^ m for m in nonfaces], cx.labels)
 
 
-def minimal_vertex_covers(supports: list[int], n: int) -> list[int]:
+def minimal_vertex_covers(supports: list[int]) -> list[int]:
     """All inclusion-minimal vertex covers (as masks) of a set of support masks.
 
     Branch and bound over the first uncovered support; candidate covers are
@@ -61,74 +64,19 @@ def minimal_vertex_covers(supports: list[int], n: int) -> list[int]:
     return sorted(minimal_masks(found))
 
 
-@dataclass(frozen=True)
-class DualMatrixMap:
-    """Identification of the dual matrix Y with entries of X.
+def dual_matrix(m: int, n: int) -> dict[Point, Point | None]:
+    """The (n-m+1) x n dual matrix Y, row by row: Y[k, c] -> X[c-k+1, c] or None.
 
-    Y has shape (n-m+1) x n; entry (k, c) is identified with X[c-k+1, c]
-    exactly when k <= c <= k+m-1, and is a free variable otherwise.
+    Entry (k, c) is identified with X[c-k+1, c] exactly when
+    k <= c <= k+m-1, and is a free variable (None) otherwise.
     """
-
-    m: int
-    n: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n - self.m + 1, self.n)
-
-    def is_identified(self, k: int, c: int) -> bool:
-        return k <= c <= k + self.m - 1
-
-    def x_entry(self, k: int, c: int) -> tuple[int, int]:
-        if not self.is_identified(k, c):
-            raise ValueError(f"Y[{k},{c}] is a free variable")
-        return (c - k + 1, c)
-
-    def identified_entries(self) -> dict[tuple[int, int], tuple[int, int]]:
-        rows, cols = self.shape
-        return {
-            (k, c): self.x_entry(k, c)
-            for k in range(1, rows + 1)
-            for c in range(1, cols + 1)
-            if self.is_identified(k, c)
-        }
-
-    def free_entries(self) -> list[tuple[int, int]]:
-        rows, cols = self.shape
-        return [
-            (k, c)
-            for k in range(1, rows + 1)
-            for c in range(1, cols + 1)
-            if not self.is_identified(k, c)
-        ]
-
-    def display(self) -> str:
-        rows, cols = self.shape
-        out = []
-        for k in range(1, rows + 1):
-            row = []
-            for c in range(1, cols + 1):
-                if self.is_identified(k, c):
-                    i, j = self.x_entry(k, c)
-                    row.append(f"X{i}{j}")
-                else:
-                    row.append(f"Y{k}{c}")
-            out.append(" ".join(f"{e:>4}" for e in row))
-        return "\n".join(out)
-
-
-def dual_matrix(m: int, n: int) -> DualMatrixMap:
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    return DualMatrixMap(m, n)
-
-
-def maximal_minor_diagonals(m: int, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Main diagonals of the m x m minors of an m x n matrix, as (row, col) tuples."""
-    return [
-        tuple((k + 1, cols[k]) for k in range(m))
-        for cols in combinations(range(1, n + 1), m)
-    ]
+    return {
+        (k, c): (c - k + 1, c) if k <= c <= k + m - 1 else None
+        for k in range(1, n - m + 2)
+        for c in range(1, n + 1)
+    }
 
 
 @dataclass
@@ -141,45 +89,34 @@ class DualTheoremVerdict:
     failures: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "dual-matrix-identity",
-            "m": self.m,
-            "n": self.n,
-            "passed": self.passed,
-            "diagonal_count": self.diagonal_count,
-            "cover_count": self.cover_count,
-            "failures": self.failures,
-        }
+        return {"kind": "dual-matrix-identity", **asdict(self)}
 
 
 def verify_dual_theorem(m: int, n: int) -> DualTheoremVerdict:
     """Check that dual-matrix diagonals and minimal vertex covers coincide.
 
-    (a) every maximal-minor diagonal of Y, rewritten through the
-    identification (all its entries must be identified, which the strictly
-    increasing column condition forces), covers every generator diagonal of
-    the initial maximal-minor ideal of X; (b) every minimal vertex cover of
-    those generators is such a rewritten diagonal.
+    The generators of the initial maximal-minor ideal of X are the
+    Stanley-Reisner generators of the [1..m-1 | 1..m-1] complex.  (a) every
+    maximal-minor diagonal of Y, rewritten through the identification (all
+    its entries must be identified, which the strictly increasing column
+    condition forces), covers every generator; (b) every minimal vertex
+    cover of the generators is such a rewritten diagonal.
     """
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
-    dmap = dual_matrix(m, n)
+    ymat = dual_matrix(m, n)
+    spec = MinorSpec.diagonal(m, n, m - 1)
     failures: list[str] = []
+    generators = [mask_of(map(spec.vertex_index, d)) for d in sr_generators(spec)]
 
-    def xindex(pt: tuple[int, int]) -> int:
-        return (pt[0] - 1) * n + (pt[1] - 1)
-
-    generators = [mask_of(xindex(p) for p in d) for d in maximal_minor_diagonals(m, n)]
-
-    y_rows = n - m + 1
     diag_masks: set[int] = set()
-    for cols in combinations(range(1, n + 1), y_rows):
+    for cols in combinations(range(1, n + 1), n - m + 1):
         support = []
         for k, c in enumerate(cols, start=1):
-            if not dmap.is_identified(k, c):
+            if ymat[k, c] is None:
                 failures.append(f"diagonal entry Y[{k},{c}] is not identified with X")
                 continue
-            support.append(xindex(dmap.x_entry(k, c)))
+            support.append(spec.vertex_index(ymat[k, c]))
         mask = mask_of(support)
         diag_masks.add(mask)
         uncovered = [g for g in generators if g & mask == 0]
@@ -188,7 +125,7 @@ def verify_dual_theorem(m: int, n: int) -> DualTheoremVerdict:
                 f"diagonal {cols} misses generator {vertices_of(uncovered[0])}"
             )
 
-    covers = minimal_vertex_covers(generators, m * n)
+    covers = minimal_vertex_covers(generators)
     for c in covers:
         if c not in diag_masks:
             failures.append(f"minimal cover {vertices_of(c)} is not a dual diagonal")

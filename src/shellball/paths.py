@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -186,10 +187,6 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
 # flips
 
 
-def _sorted_path(points) -> tuple[Point, ...]:
-    return tuple(sorted(points, key=lambda p: (p[0], -p[1])))
-
-
 def _is_valid_path(path: tuple[Point, ...]) -> bool:
     for (i1, j1), (i2, j2) in zip(path, path[1:]):
         if not ((i2, j2) == (i1 + 1, j1) or (i2, j2) == (i1, j1 - 1)):
@@ -205,16 +202,12 @@ def _flip_sites(path: tuple[Point, ...]) -> list[Point]:
 
 def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
     """Replace v by v+(1,1); legal at a flip site (v, v+(1,0), v+(0,1) lie on
-    the path and neither neighbour is a corner).  The corner set strictly grows."""
+    the path and neither neighbour is a corner).  The corner set strictly grows:
+    the new path is the one through the old corners and v+(1,1)."""
     if v not in _flip_sites(path):
         raise ValueError(f"not flippable at {v}")
-    crn = path_corners(path)
-    new = _sorted_path(set(path) - {v} | {(v[0] + 1, v[1] + 1)})
-    if not _is_valid_path(new):
-        raise ArithmeticError(f"flip at {v} leaves a broken path")
-    if not crn < path_corners(new):
-        raise ArithmeticError(f"flip at {v} does not strictly enlarge the corner set")
-    return new
+    (a, n), (m, b) = path[0], path[-1]
+    return _path_from_corners(a, b, m, n, path_corners(path) | {(v[0] + 1, v[1] + 1)})
 
 
 def is_non_flippable(family: PathFamily) -> bool:
@@ -358,7 +351,7 @@ def corner_spectrum(m: int, n: int, r: int, facets: list[PathFamily] | None = No
 
 
 def _path_from_corners(
-    a: int, b: int, m: int, n: int, corner_list: list[Point]
+    a: int, b: int, m: int, n: int, corner_list: Iterable[Point]
 ) -> tuple[Point, ...]:
     """Reconstruct the unique path from (a, n) to (m, b) with the given corners."""
     cs = sorted(corner_list)
@@ -394,7 +387,9 @@ def construct_nonflippable(m: int, n: int, r: int, t: int) -> PathFamily:
 
     Writes t = r + p*(m-r-1) + q and places maximal zig-zags on the last p
     paths, a diagonal run of q+1 corners on path r-p and a single corner on
-    each remaining path.
+    each remaining path.  On a square grid (n == m) the zig-zags sit one
+    column further right, since a path's last corner must lie strictly right
+    of its end column.
     """
     if not 1 <= r <= m - 1 or m > n:
         raise ValueError("need 1 <= r <= m-1 and m <= n")
@@ -404,12 +399,11 @@ def construct_nonflippable(m: int, n: int, r: int, t: int) -> PathFamily:
         p, q = 0, 0
     else:
         p, q = divmod(t - r, m - r - 1)
-    if p >= 1 and n <= m:
-        raise ValueError("maximal zig-zag construction needs n > m")
     spec = MinorSpec.diagonal(m, n, r)
     corner_sets: dict[int, list[Point]] = {}
+    shift = 1 if n == m else 0
     for k in range(p):
-        corner_sets[r - k] = [(r - k + s, n - k - s) for s in range(1, m - r + 1)]
+        corner_sets[r - k] = [(r - k + s, n - k - s + shift) for s in range(1, m - r + 1)]
     if p < r:
         corner_sets[r - p] = [(r - p + 1 + u, r - p + 1 + q - u) for u in range(q + 1)]
     for i in range(1, r - p):

@@ -1,14 +1,16 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from shellball.complexes import build_complex, mask_of, minimal_nonface_masks, vertices_of
 from shellball.duality import (
     alexander_dual,
     dual_matrix,
-    maximal_minor_diagonals,
     minimal_vertex_covers,
     verify_dual_theorem,
 )
-from shellball.paths import MinorSpec, path_complex
+from shellball.paths import MinorSpec, path_complex, sr_generators
 from shellball.polarization import power_ideal_complex
 from tests.test_complexes import MINOR23
 
@@ -31,7 +33,7 @@ def test_dual_generators_are_vertex_covers_minor23():
     assert gens == [(0, 1), (0, 5), (4, 5)]
     supports = minimal_nonface_masks(cx)
     covers = sorted(
-        vertices_of(c) for c in minimal_vertex_covers(supports, cx.n)
+        vertices_of(c) for c in minimal_vertex_covers(supports)
     )
     assert gens == covers
 
@@ -55,74 +57,98 @@ def test_generator_cover_duality():
         dual = alexander_dual(cx)
         gens = sorted(minimal_nonface_masks(dual, over_universe=True))
         covers = sorted(
-            minimal_vertex_covers(minimal_nonface_masks(cx, over_universe=True), cx.n)
+            minimal_vertex_covers(minimal_nonface_masks(cx, over_universe=True))
         )
         assert gens == covers
 
 
 def test_minimal_vertex_covers_simple():
-    covers = minimal_vertex_covers([mask_of([0, 1]), mask_of([1, 2])], 3)
+    covers = minimal_vertex_covers([mask_of([0, 1]), mask_of([1, 2])])
     assert sorted(vertices_of(c) for c in covers) == [(0, 2), (1,)]
-    assert minimal_vertex_covers([], 3) == [0]
+    assert minimal_vertex_covers([]) == [0]
+
+
+def _free(ymat):
+    return [yc for yc, x in ymat.items() if x is None]
 
 
 def test_dual_matrix_3x4_matches_known_identification():
-    dm = dual_matrix(3, 4)
-    assert dm.shape == (2, 4)
-    ident = dm.identified_entries()
-    assert ident[(1, 1)] == (1, 1) and ident[(1, 2)] == (2, 2) and ident[(1, 3)] == (3, 3)
-    assert ident[(2, 2)] == (1, 2) and ident[(2, 3)] == (2, 3) and ident[(2, 4)] == (3, 4)
-    assert dm.free_entries() == [(1, 4), (2, 1)]
+    ymat = dual_matrix(3, 4)
+    assert list(ymat) == [(k, c) for k in (1, 2) for c in (1, 2, 3, 4)]
+    assert ymat[1, 1] == (1, 1) and ymat[1, 2] == (2, 2) and ymat[1, 3] == (3, 3)
+    assert ymat[2, 2] == (1, 2) and ymat[2, 3] == (2, 3) and ymat[2, 4] == (3, 4)
+    assert _free(ymat) == [(1, 4), (2, 1)]
 
 
 def test_dual_matrix_square():
-    dm = dual_matrix(3, 3)
-    assert dm.shape == (1, 3)
-    assert dm.identified_entries() == {(1, 1): (1, 1), (1, 2): (2, 2), (1, 3): (3, 3)}
-    assert dm.free_entries() == []
+    ymat = dual_matrix(3, 3)
+    assert ymat == {(1, 1): (1, 1), (1, 2): (2, 2), (1, 3): (3, 3)}
+    assert _free(ymat) == []
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (4, 3)])
+def test_dual_matrix_needs_m_at_most_n(m, n):
+    with pytest.raises(ValueError, match="need 1 <= m <= n"):
+        dual_matrix(m, n)
 
 
 def test_dual_of_dual_recovers_original_entries():
     # the double dual Z of X has Z[k,c] = Y[c-k+1, c]; composing the two
     # identifications lands back on X[k,c]
     for m, n in [(3, 5), (2, 4), (3, 4)]:
-        dm = dual_matrix(m, n)
+        ymat = dual_matrix(m, n)
         back = dual_matrix(n - m + 1, n)
-        for (k, c), (i, j) in back.identified_entries().items():
+        for (k, c), yc in back.items():
+            if yc is None:
+                continue
+            i, j = yc
             assert j == c
-            if dm.is_identified(i, c):
-                assert dm.x_entry(i, c) == (k, c)
+            if ymat[i, c] is not None:
+                assert ymat[i, c] == (k, c)
 
 
 def test_diagonal_entries_always_identified():
     for m, n in [(2, 3), (2, 4), (3, 4), (3, 5), (2, 5)]:
-        dm = dual_matrix(m, n)
-        rows = n - m + 1
-        from itertools import combinations
-
-        for cols in combinations(range(1, n + 1), rows):
+        ymat = dual_matrix(m, n)
+        for cols in combinations(range(1, n + 1), n - m + 1):
             for k, c in enumerate(cols, start=1):
-                assert dm.is_identified(k, c)
+                assert ymat[k, c] is not None
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 4), (3, 5)])
 def test_dual_theorem(m, n):
     verdict = verify_dual_theorem(m, n)
     assert verdict.passed, verdict.failures
-    from math import comb
-
     assert verdict.diagonal_count == comb(n, n - m + 1) == verdict.cover_count
 
 
 def test_dual_theorem_verdict_json():
     js = verify_dual_theorem(3, 4).to_json_dict()
-    assert js["passed"] is True and js["m"] == 3 and js["n"] == 4
+    assert js == {
+        "kind": "dual-matrix-identity",
+        "m": 3,
+        "n": 4,
+        "passed": True,
+        "diagonal_count": 6,
+        "cover_count": 6,
+        "failures": [],
+    }
+    assert list(js) == ["kind", "m", "n", "passed", "diagonal_count", "cover_count", "failures"]
+
+
+def maximal_minor_diagonals(m, n):
+    """Main diagonals of the m x m minors of an m x n matrix (test oracle)."""
+    return [tuple(zip(range(1, m + 1), cols)) for cols in combinations(range(1, n + 1), m)]
 
 
 def test_maximal_minor_diagonals():
-    diags = maximal_minor_diagonals(2, 3)
-    assert diags == [
+    assert maximal_minor_diagonals(2, 3) == [
         ((1, 1), (2, 2)),
         ((1, 1), (2, 3)),
         ((1, 2), (2, 3)),
     ]
+    # the dual theorem's generators are the Stanley-Reisner generators of
+    # the [1..m-1 | 1..m-1] complex, in the same order
+    for m in range(2, 8):
+        for n in range(m, 8):
+            assert sr_generators(MinorSpec.diagonal(m, n, m - 1)) == maximal_minor_diagonals(m, n)

@@ -179,6 +179,7 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         "generate polar n=2 t=2",
         *(f"dual m={m} n={n}" for m in range(2, 7) for n in range(m, 7)),
         "corners m=4 n=5 r=2",
+        "corners m=4 n=4 r=2",
         "cyclic n=8 d=5",
         "cyclic n=7 d=4",
         # every error command line of tests/test_cli.py

@@ -1,4 +1,5 @@
 import functools
+import random
 from collections import Counter
 from math import comb
 
@@ -30,7 +31,7 @@ from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import certified_h, verify_ball
 from tests.test_complexes import MINOR23, SPHERE23
-from tests.test_properties import pure_complexes
+from tests.test_properties import grow_shellable_ball, pure_complexes
 
 
 def square():
@@ -454,14 +455,22 @@ def test_reduced_homology_matches_leafwise_oracle_random(cx):
         assert reduced_homology_ranks(cx, field) == leafwise_homology(cx, field), field
 
 
+def _random_balls(count=60):
+    """The property-test generator's balls for seeds 0..count-1 (at most 11 vertices)."""
+    for seed in range(count):
+        ball, order = grow_shellable_ball(random.Random(seed))
+        yield f"random ball {seed}", ball, verify_ball(ball, order), boundary_complex(ball)
+
+
 @functools.cache
 def _linear_data():
-    """(name, ball, boundary, d, m, deg h, linear) for each certified ball with m defined.
+    """(name, ball, boundary, d, m, deg h, linear) for each certified ball with m defined,
+    named or random.
 
     `linear` is the oracle: the ball's Hochster table is m-linear.
     """
     out = []
-    for name, ball, cert, bd in BALLS:
+    for name, ball, cert, bd in BALLS + list(_random_balls()):
         h = certified_h(ball, cert.shelling)
         m = smallest_nonface_size(f_from_h(h))
         if m is not None:
@@ -482,6 +491,7 @@ def test_linear_resolution_iff_h_degree_below_m():
         verdicts[name] = linear
     assert not verdicts["minor 3 3 1"] and not verdicts["minor 3 4 1"]
     assert sum(verdicts.values()) >= 10
+    assert {v for name, v in verdicts.items() if name.startswith("random")} == {True, False}
 
 
 def closed_form_boundary_betti(n: int, d: int, m: int) -> dict[tuple[int, int], int]:
@@ -516,3 +526,4 @@ def test_closed_form_boundary_betti_of_linear_balls():
         "minor 2 3 1", "minor 2 4 1", "minor 3 3 2", "minor 3 4 2",
         "polar 3 2", "polar 3 3", "polar 4 2", "polar 4 3",
     }
+    assert any(name.startswith("random") for name in cases)

@@ -170,7 +170,7 @@ def test_internal_checks_raise(monkeypatch):
     import shellball.paths as paths
 
     monkeypatch.setattr(paths, "path_corners", lambda path: frozenset())
-    with pytest.raises(ArithmeticError, match="corner set"):
+    with pytest.raises(ArithmeticError, match="has corners"):
         flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
     with pytest.raises(ArithmeticError, match="has corners"):
         construct_nonflippable(6, 7, 3, 3)
@@ -458,7 +458,8 @@ def test_corner_spectrum(m, n, r, expected):
 
 
 def test_construct_nonflippable_whole_range():
-    for m, n, r in [(4, 5, 2), (6, 7, 3)]:
+    # square grids place the zig-zags one column further right
+    for m, n, r in [(4, 5, 2), (6, 7, 3), (3, 3, 1), (4, 4, 2), (5, 5, 2)]:
         for t in range(r, r * (m - r) + 1):
             fam = construct_nonflippable(m, n, r, t)
             assert fam.corner_count == t and is_non_flippable(fam)

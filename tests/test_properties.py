@@ -149,35 +149,57 @@ def bruteforce_inside_faces(cx):
     )
 
 
-@st.composite
-def shelled_ball_orders(draw, max_n=9):
-    # grow a ball one facet at a time: cone a boundary ridge to any vertex
-    # and keep the new facet only if the ball certificate still passes
-    size = draw(st.integers(min_value=2, max_value=4))
-    n = draw(st.integers(min_value=size + 1, max_value=max_n))
+def grow_shellable_ball(rng, max_vertices=11):
+    """A random shellable ball of dimension 1-4 on at most `max_vertices`
+    vertices, with its shelling order.
+
+    Start from one simplex.  Each step picks a facet, drops one of its
+    vertices and adds a vertex outside it, old or (within the budget) new;
+    the new facet is kept only if it is new and the ball certificate still
+    passes on the extended order.
+    """
+    size = rng.randint(2, 5)
     facets = [(1 << size) - 1]
-    for _ in range(draw(st.integers(min_value=3, max_value=12))):
-        cx = SimplicialComplex(n, facets)
-        ridges = sorted(boundary_complex(cx).facets)
-        ridge = draw(st.sampled_from(ridges))
-        v = draw(st.sampled_from([v for v in range(n) if not ridge >> v & 1]))
-        new = ridge | 1 << v
+    n = size
+    for _ in range(rng.randint(1, 24)):
+        f = rng.choice(facets)
+        outside = [v for v in range(min(n + 1, max_vertices)) if not f >> v & 1]
+        if not outside:
+            continue
+        v = rng.choice(outside)
+        new = f & ~(1 << rng.choice(vertices_of(f))) | 1 << v
         if new in facets:
             continue
-        grown = SimplicialComplex(n, facets + [new])
-        if verify_ball(grown, [grown.facets.index(f) for f in facets + [new]]).ok:
+        grown = SimplicialComplex(max(n, v + 1), facets + [new])
+        if verify_ball(grown, [grown.facets.index(g) for g in facets + [new]]).ok:
             facets.append(new)
+            n = grown.n
     cx = SimplicialComplex(n, facets)
-    return cx, [cx.facets.index(f) for f in facets]
+    return cx, [cx.facets.index(g) for g in facets]
 
 
-def shelled_balls(max_n=9):
-    return shelled_ball_orders(max_n).map(lambda case: case[0])
+# the generator driven by Hypothesis: shrinkable, and seeded under derandomize
+shellable_balls = st.randoms(use_true_random=False).map(grow_shellable_ball)
 
 
-@given(shelled_balls())
+@given(shellable_balls)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_certified_ball_identities_on_random_balls(case):
+    # 4a: the boundary h-vector follows from the certified h-vector;
+    # 4b: every vertex is on the boundary iff no certified inside face is a vertex
+    cx, order = case
+    cert = verify_ball(cx, order)
+    assert cert.ok
+    bd = boundary_complex(cx)
+    assert boundary_h_from_h(certified_h(cx, cert.shelling)) == h_vector(f_vector(bd))
+    interior_vertex = any(len(face) == 1 for face in certified_inside_faces(cx, cert))
+    assert (bd.used_mask == cx.used_mask) == (not interior_vertex)
+
+
+@given(shellable_balls)
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_minimal_inside_faces_bruteforce_oracle_on_random_balls(cx):
+def test_minimal_inside_faces_bruteforce_oracle_on_random_balls(case):
+    cx, _ = case
     assert sorted(minimal_inside_faces(cx)) == bruteforce_inside_faces(cx)
 
 
@@ -241,7 +263,7 @@ def minor_orders(draw):
 
 
 certified_balls = st.one_of(
-    shelled_ball_orders(),
+    shellable_balls,
     minor_orders(),
     st.sampled_from(POLAR_INSTANCES).map(lambda p: power_ideal_complex(*p)),
 )

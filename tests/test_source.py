@@ -40,3 +40,31 @@ def test_all_is_sorted_unique_and_resolves():
     names = shellball.__all__
     assert names == sorted(set(names))
     assert [n for n in names if not hasattr(shellball, n)] == []
+
+
+def _unused_parameters(tree):
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        for p in params:
+            if p not in read and p not in ("self", "cls"):
+                yield node.lineno, f"{name}({p})"
+
+
+def test_no_unused_parameters():
+    # a parameter the body never reads is a dead part of the signature
+    found = []
+    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {what}" for line, what in _unused_parameters(tree)]
+    assert not found, f"unused parameters in the library: {found}"
