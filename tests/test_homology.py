@@ -455,9 +455,9 @@ def test_reduced_homology_matches_leafwise_oracle_random(cx):
         assert reduced_homology_ranks(cx, field) == leafwise_homology(cx, field), field
 
 
-def _random_balls(count=60):
-    """The property-test generator's balls for seeds 0..count-1 (at most 11 vertices)."""
-    for seed in range(count):
+def _random_balls():
+    """The property-test generator's balls for seeds 0..59 (at most 11 vertices)."""
+    for seed in range(60):
         ball, order = grow_shellable_ball(random.Random(seed))
         yield f"random ball {seed}", ball, verify_ball(ball, order), boundary_complex(ball)
 
