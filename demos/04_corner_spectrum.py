@@ -1,9 +1,11 @@
 """Corner counts of non-flippable facets and explicit constructions.
 
-A facet whose corner set is maximal cannot trade any point for its
-diagonal neighbour; the possible corner counts of such facets fill the
-whole interval [r, r(m-r)], and each value is realized by an explicit
-staircase placement, rendered here for the 6x7 grid with r = 3.
+A facet is non-flippable when no path of it, taken alone, can trade a
+point for its diagonal neighbour; the possible corner counts of such facets
+fill the whole interval [r, r(m-r)], and each value is realized by an
+explicit staircase placement, rendered here for the 6x7 grid with r = 3.
+A flip that lands on a sibling path is blocked in the family, so a few
+flippable facets are still corner-maximal; the last lines list them.
 """
 
 import shellball as sb
@@ -25,7 +27,7 @@ for t in (3, 6, 9):
     print()
 
 fams = sb.enumerate_facets(sb.MinorSpec.diagonal(3, 4, 2))
-disc = sb.nonflippable_discrepancies(fams)
+disc = [f for f in fams if sb.is_non_flippable(f) != sb.is_corner_maximal(f, fams)]
 print("facets where per-path flips and corner-maximality disagree (3x4, r=2):")
 for fam in disc:
     print(f"  corners {sorted(fam.corners)}: a flip exists per-path but lands on the sibling path")

@@ -96,7 +96,7 @@ def _build_instance(kind: str, tokens: list[str], max_facets: int):
             r = _int_param(kv, "r")
             spec = paths.MinorSpec.diagonal(m, n, r)
             name = f"minor m={m} n={n} r={r}"
-        cx, order = paths.path_complex(spec, max_facets=max_facets)
+        cx, order = paths.path_complex(spec, paths.enumerate_facets(spec, max_facets))
         return cx, order, name
     # argparse admits only minor and polar
     kv = _params(tokens, ("n", "t"))

@@ -357,8 +357,12 @@ def complex_to_text(cx: SimplicialComplex, order: Sequence[int]) -> str:
     indices (a shelling order, say), so `complex_from_text_with_order`
     reads back both the complex and `order`.  The format has no line for an
     empty facet, so the void complex and the empty complex (only the empty
-    face) raise ValueError.
+    face) raise ValueError, as does a label the labels line cannot hold: one
+    with a comma or a line break, or with leading or trailing whitespace.
     """
+    for label in cx.labels or ():
+        if "," in label or label != label.strip() or len(label.splitlines()) > 1:
+            raise ValueError(f"label {label!r} holds a comma or a line break, or is not stripped")
     if not cx.facets:
         raise ValueError("the void complex has no facet, and the text format needs a facet line")
     if cx.facets == (0,):

@@ -13,7 +13,7 @@ and the facets above a facet are the AND of one bitset per entry.
 
 A *corner* of a path is a point whose upper and left neighbours both lie on
 the same path.  Corners drive the flip move that grows a path's corner set,
-the non-flippable facets whose point sets minus corners are the minimal
+the corner-maximal facets whose point sets minus corners are the minimal
 inside faces, the corner-count h-vector, and the prefix boundary test.
 """
 
@@ -102,10 +102,6 @@ class PathFamily:
         for path in self.paths:
             out |= path_corners(path)
         return frozenset(out)
-
-    @property
-    def corner_count(self) -> int:
-        return len(self.corners)
 
     @cached_property
     def profile(self) -> tuple[int, ...]:
@@ -201,13 +197,16 @@ def _flip_sites(path: tuple[Point, ...]) -> list[Point]:
 
 
 def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
-    """Replace v by v+(1,1); legal at a flip site (v, v+(1,0), v+(0,1) lie on
-    the path and neither neighbour is a corner).  The corner set strictly grows:
-    the new path is the one through the old corners and v+(1,1)."""
+    """Replace v by v+(1,1) at the same index; legal at a flip site (v, v+(1,0),
+    v+(0,1) lie on the path and neither neighbour is a corner).  The corner set
+    grows by exactly v+(1,1)."""
     if v not in _flip_sites(path):
         raise ValueError(f"not flippable at {v}")
-    (a, n), (m, b) = path[0], path[-1]
-    return _path_from_corners(a, b, m, n, path_corners(path) | {(v[0] + 1, v[1] + 1)})
+    k = path.index(v)
+    out = path[:k] + ((v[0] + 1, v[1] + 1),) + path[k + 1 :]
+    if path_corners(out) != path_corners(path) | {out[k]}:
+        raise ArithmeticError(f"path flipped at {v} has corners {sorted(path_corners(out))}")
+    return out
 
 
 def is_non_flippable(family: PathFamily) -> bool:
@@ -225,21 +224,7 @@ def admits_family_flip(family: PathFamily) -> bool:
 
 def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
     """No facet of the complex has a strictly larger corner set."""
-    return not any(o.corners > family.corners for o in facets if o.mask != family.mask)
-
-
-def nonflippable_discrepancies(facets: list[PathFamily]) -> list[PathFamily]:
-    """Facets where per-path non-flippability and corner-maximality disagree.
-
-    A path flip can be blocked by a sibling path occupying the flipped
-    point; such facets are corner-maximal yet per-path flippable, so the
-    two notions genuinely differ and callers should say which they mean.
-    """
-    return [
-        fam
-        for fam in facets
-        if is_non_flippable(fam) != is_corner_maximal(fam, facets)
-    ]
+    return not any(o.corners > family.corners for o in facets)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +298,16 @@ def random_shelling_orders(
 # canonical module data and corner counts
 
 
-def canonical_generators(facets: list[PathFamily]) -> list[tuple[tuple[Point, ...], int]]:
-    """(face, degree) pairs F - corners(F) over the corner-maximal facets.
+def canonical_generators(facets: list[PathFamily]) -> list[tuple[Point, ...]]:
+    """The faces F - corners(F) of the corner-maximal facets, by size, then points.
 
     Corner-maximality, not per-path non-flippability, is what indexes the
     minimal inside faces: a per-path flip may be blocked by a sibling path,
     leaving the facet corner-maximal although a path of it is flippable in
     isolation.
     """
-    out = []
-    for fam in facets:
-        if is_corner_maximal(fam, facets):
-            face = tuple(sorted(fam.points - fam.corners))
-            out.append((face, len(face)))
-    out.sort(key=lambda fd: (fd[1], fd[0]))
-    return out
+    faces = [tuple(sorted(f.points - f.corners)) for f in facets if is_corner_maximal(f, facets)]
+    return sorted(faces, key=lambda face: (len(face), face))
 
 
 def h_via_corners(facets: list[PathFamily]) -> tuple[int, ...]:
@@ -337,45 +317,34 @@ def h_via_corners(facets: list[PathFamily]) -> tuple[int, ...]:
     d = len(facets[0])
     counts: dict[int, int] = {}
     for fam in facets:
-        counts[fam.corner_count] = counts.get(fam.corner_count, 0) + 1
+        counts[len(fam.corners)] = counts.get(len(fam.corners), 0) + 1
     return tuple(counts.get(i, 0) for i in range(d + 1))
 
 
-def corner_spectrum(m: int, n: int, r: int, facets: list[PathFamily] | None = None) -> set[int]:
-    """Corner counts realized by non-flippable facets of the [1..r|1..r] complex."""
+def corner_spectrum(m: int, n: int, r: int, facets: list[PathFamily]) -> set[int]:
+    """Corner counts of the per-path non-flippable facets of the [1..r|1..r] complex."""
     if not 1 <= r <= m - 1 or m > n:
         raise ValueError("need 1 <= r <= m-1 and m <= n")
-    if facets is None:
-        facets = enumerate_facets(MinorSpec.diagonal(m, n, r))
-    return {fam.corner_count for fam in facets if is_non_flippable(fam)}
+    return {len(fam.corners) for fam in facets if is_non_flippable(fam)}
 
 
 def _path_from_corners(
     a: int, b: int, m: int, n: int, corner_list: Iterable[Point]
 ) -> tuple[Point, ...]:
-    """Reconstruct the unique path from (a, n) to (m, b) with the given corners."""
+    """The path from (a, n) to (m, b) with the given corners.
+
+    Walks left along the row to the next corner's column and down to that
+    corner, then left to column b and down to row m.
+    """
     cs = sorted(corner_list)
-    rows = [c[0] for c in cs]
-    colseq = [c[1] for c in cs]
-    if rows != sorted(set(rows)) or colseq != sorted(set(colseq), reverse=True):
-        raise ValueError(f"corner set not a staircase: {cs}")
     pts: list[Point] = []
     row, col = a, n
-    first = True
-    for (cr, cc) in cs:
-        start_col = col if first else col - 1
-        if cr <= row or cc > start_col:
-            raise ValueError(f"corner {(cr, cc)} unreachable from {(row, col)}")
-        pts.extend((row, j) for j in range(start_col, cc - 1, -1))
-        pts.extend((i, cc) for i in range(row + 1, cr + 1))
+    for cr, cc in cs + [(m, b)]:
+        pts.extend((row, j) for j in range(col, cc, -1))
+        pts.extend((i, cc) for i in range(row, cr))
         row, col = cr, cc
-        first = False
-    if cs and col <= b:
-        raise ValueError("last corner is not strictly right of the end column")
-    pts.extend((row, j) for j in range(col - 1 if cs else col, b - 1, -1))
-    pts.extend((i, b) for i in range(row + 1, m + 1))
-    path = tuple(pts)
-    if not (_is_valid_path(path) and path[0] == (a, n) and path[-1] == (m, b)):
+    path = tuple(pts) + ((m, b),)
+    if not (_is_valid_path(path) and path[0] == (a, n)):
         raise ArithmeticError(f"corners {cs} give no lattice path from {(a, n)} to {(m, b)}")
     if path_corners(path) != frozenset(cs):
         raise ArithmeticError(f"path through corners {cs} has corners {sorted(path_corners(path))}")
@@ -418,8 +387,8 @@ def construct_nonflippable(m: int, n: int, r: int, t: int) -> PathFamily:
                 raise ValueError(f"constructed paths collide at {pt}")
             seen.add(pt)
     fam = PathFamily(spec, paths)
-    if fam.corner_count != t:
-        raise ArithmeticError(f"constructed facet has {fam.corner_count} corners, want {t}")
+    if len(fam.corners) != t:
+        raise ArithmeticError(f"constructed facet has {len(fam.corners)} corners, want {t}")
     if not is_non_flippable(fam):
         raise ArithmeticError("constructed facet is flippable")
     return fam
@@ -478,13 +447,11 @@ def boundary_via_corners(facets: list[PathFamily], i: int):
 
 
 def path_complex(
-    spec: MinorSpec,
-    facets: list[PathFamily] | None = None,
-    max_facets: int = DEFAULT_FACET_CAP,
+    spec: MinorSpec, facets: list[PathFamily] | None = None
 ) -> tuple[SimplicialComplex, list[int]]:
     """The simplicial complex of a minor plus a shelling order (facet indices)."""
     if facets is None:
-        facets = enumerate_facets(spec, max_facets)
+        facets = enumerate_facets(spec)
     cx = SimplicialComplex(
         spec.m * spec.n, [fam.mask for fam in facets], labels=spec.grid_labels()
     )

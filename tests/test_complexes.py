@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -340,6 +341,23 @@ def test_text_round_trip():
     assert text.splitlines() == ["n=6", "labels=v0,v1,v2,v3,v4,v5", "2 3 4 5", "0 1 2 3", "1 2 3 4"]
     back, order = complex_from_text_with_order(text)
     assert back == cx and back.labels == cx.labels and order == [2, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        (("a,b", "c", "d"), "a,b"),
+        (("a", "b\nc", "d"), "b\nc"),
+        (("a", "b\rc", "d"), "b\rc"),
+        ((" a", "b", "c "), " a"),
+        (("a", "b", "c "), "c "),
+    ],
+    ids=["comma", "line feed", "carriage return", "leading space", "trailing space"],
+)
+def test_text_writer_refuses_labels_it_cannot_read_back(labels, bad):
+    # the reader would reject each of these files or change its labels
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r}")):
+        complex_to_text(build_complex([{0, 1, 2}], 3, labels), [0])
 
 
 @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [0, 1, 2, 0]])

@@ -1,7 +1,7 @@
 import functools
 import random
 from collections import Counter
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -396,19 +396,21 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     assert len(calls) == 10
 
 
-def _certified_balls():
-    """Every minor and polar ball on a grid of at most 12 points whose ball
+def _certified_balls(lo: int, hi: int):
+    """Every minor and polar ball on a grid of lo to hi points whose ball
     certificate passes, with its certificate and boundary."""
     balls = [
         (f"minor {m} {n} {r}", *path_complex(MinorSpec.diagonal(m, n, r)))
-        for m in range(1, 4)
-        for n in range(m, 12 // m + 1)
+        for m in range(1, isqrt(hi) + 1)
+        for n in range(m, hi // m + 1)
+        if m * n >= lo
         for r in range(1, m + 1)
     ]
     balls += [
         (f"polar {n} {t}", *power_ideal_complex(n, t))
-        for n in range(2, 7)
-        for t in range(2, 12 // n + 1)
+        for n in range(2, hi // 2 + 1)
+        for t in range(2, hi // n + 1)
+        if n * t >= lo
     ]
     for name, ball, order in balls:
         cert = verify_ball(ball, order)
@@ -416,7 +418,7 @@ def _certified_balls():
             yield name, ball, cert, boundary_complex(ball)
 
 
-BALLS = list(_certified_balls())
+BALLS = list(_certified_balls(1, 12))
 # each boundary of a certified ball is a homology sphere
 SPHERES = [(f"{name} boundary", bd) for name, _, _, bd in BALLS if bd.facets]
 
@@ -462,6 +464,15 @@ def _random_balls():
         yield f"random ball {seed}", ball, verify_ball(ball, order), boundary_complex(ball)
 
 
+def _ball_data(balls):
+    """(name, ball, boundary, d, m, deg h) for each certified ball with m defined."""
+    for name, ball, cert, bd in balls:
+        h = certified_h(ball, cert.shelling)
+        m = smallest_nonface_size(f_from_h(h))
+        if m is not None:
+            yield name, ball, bd, len(h) - 1, m, max(k for k, hk in enumerate(h) if hk)
+
+
 @functools.cache
 def _linear_data():
     """(name, ball, boundary, d, m, deg h, linear) for each certified ball with m defined,
@@ -469,15 +480,10 @@ def _linear_data():
 
     `linear` is the oracle: the ball's Hochster table is m-linear.
     """
-    out = []
-    for name, ball, cert, bd in BALLS + list(_random_balls()):
-        h = certified_h(ball, cert.shelling)
-        m = smallest_nonface_size(f_from_h(h))
-        if m is not None:
-            linear = has_linear_resolution(hochster_betti_table(ball, max_vertices=12), m)
-            deg_h = max(k for k, hk in enumerate(h) if hk)
-            out.append((name, ball, bd, len(h) - 1, m, deg_h, linear))
-    return out
+    return [
+        (*row, has_linear_resolution(hochster_betti_table(row[1], max_vertices=12), row[4]))
+        for row in _ball_data(BALLS + list(_random_balls()))
+    ]
 
 
 def test_linear_resolution_iff_h_degree_below_m():
@@ -514,16 +520,29 @@ def closed_form_boundary_betti(n: int, d: int, m: int) -> dict[tuple[int, int], 
 
 
 def test_closed_form_boundary_betti_of_linear_balls():
-    cases = set()
-    for name, ball, bd, d, m, _, linear in _linear_data():
-        if not (linear and 2 <= m <= (d + 1) // 2 and bd.used_mask == ball.used_mask):
+    # linear by the ball's Hochster table on at most 12 points; on 13-16 points
+    # by deg h <= m - 1, the criterion the test above checks against that table
+    balls = [(name, ball, bd, d, m) for name, ball, bd, d, m, _, linear in _linear_data() if linear]
+    balls += [
+        (name, ball, bd, d, m)
+        for name, ball, bd, d, m, deg_h in _ball_data(_certified_balls(13, 16))
+        if deg_h <= m - 1
+    ]
+    cases = {}
+    for name, ball, bd, d, m in balls:
+        if not (2 <= m <= (d + 1) // 2 and bd.used_mask == ball.used_mask):
             continue
-        want = closed_form_boundary_betti(len(ball.used_vertices), d, m)
-        for field in (0, 2, 3):
+        u = len(bd.used_vertices)
+        want = closed_form_boundary_betti(u, d, m)
+        for field in (0, 2, 3) if u <= 15 else (2,):
             assert hochster_betti_table(bd, field, sphere=True).entries == want, (name, field)
-        cases.add(name)
-    assert cases >= {
+        cases[name] = u
+    assert set(cases) >= {
         "minor 2 3 1", "minor 2 4 1", "minor 3 3 2", "minor 3 4 2",
         "polar 3 2", "polar 3 3", "polar 4 2", "polar 4 3",
+    }
+    assert {name for name, u in cases.items() if u >= 13} == {
+        "minor 2 7 1", "minor 2 8 1", "minor 3 5 2", "minor 4 4 3",
+        "polar 3 5", "polar 4 4", "polar 5 3", "polar 7 2", "polar 8 2",
     }
     assert any(name.startswith("random") for name in cases)

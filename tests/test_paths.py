@@ -17,6 +17,7 @@ from shellball.complexes import (
 from shellball.paths import (
     MinorSpec,
     PathFamily,
+    _path_from_corners,
     _successors,
     admits_family_flip,
     boundary_via_corners,
@@ -28,7 +29,6 @@ from shellball.paths import (
     h_via_corners,
     is_corner_maximal,
     is_non_flippable,
-    nonflippable_discrepancies,
     path_complex,
     path_corners,
     random_shelling_orders,
@@ -166,9 +166,13 @@ def test_flip_on_minor23():
 
 
 def test_internal_checks_raise(monkeypatch):
-    # the checks are raised errors, not asserts, so `python -O` keeps them
+    # the checks are raised errors, not asserts, so `python -O` keeps them;
+    # the callers build their corner sets, so a malformed one is an internal fault
     import shellball.paths as paths
 
+    for corners in [(2, 2), (3, 3)], [(1, 3)], [(3, 1)], [(2, 5)], [(3, 2), (3, 1)]:
+        with pytest.raises(ArithmeticError):
+            _path_from_corners(1, 1, 3, 4, corners)
     monkeypatch.setattr(paths, "path_corners", lambda path: frozenset())
     with pytest.raises(ArithmeticError, match="has corners"):
         flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
@@ -177,16 +181,21 @@ def test_internal_checks_raise(monkeypatch):
 
 
 def test_flip_grows_corners_everywhere():
-    # every path flip on every facet strictly enlarges the corner set
+    # every path is the one its corners give, and every path flip on every
+    # facet replaces v by v+(1,1) in place and strictly enlarges the corner set
     for m, n, r in SMALL_SPECS:
         for fam in enumerate_facets(MinorSpec.diagonal(m, n, r)):
             for path in fam.paths:
                 pts = set(path)
                 crn = path_corners(path)
-                for v in path:
+                (a, right_end), (bottom, b) = path[0], path[-1]
+                assert _path_from_corners(a, b, bottom, right_end, crn) == path
+                for k, v in enumerate(path):
                     down, right = (v[0] + 1, v[1]), (v[0], v[1] + 1)
                     if down in pts and right in pts and down not in crn and right not in crn:
-                        assert path_corners(flip(path, v)) > crn
+                        flipped = flip(path, v)
+                        assert flipped == path[:k] + ((v[0] + 1, v[1] + 1),) + path[k + 1 :]
+                        assert path_corners(flipped) > crn
 
 
 def test_non_flippable_minor23():
@@ -198,7 +207,7 @@ def test_corner_maximality_vs_pathwise():
     # they agree except where a flip collides with a sibling path; the
     # known smallest case is one facet of the 3x4, r=2 complex
     fams = enumerate_facets(MinorSpec.diagonal(3, 4, 2))
-    disc = nonflippable_discrepancies(fams)
+    disc = [f for f in fams if is_non_flippable(f) != is_corner_maximal(f, fams)]
     assert len(disc) == 1
     fam = disc[0]
     assert fam.corners == {(2, 3), (3, 4)}
@@ -399,10 +408,9 @@ def test_mixed_specs_are_refused():
 
 def test_canonical_generators_minor23():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
-    gens = canonical_generators(fams)
-    assert [(face, deg) for face, deg in gens] == [
-        (((1, 2), (1, 3), (2, 1)), 3),
-        (((1, 3), (2, 1), (2, 2)), 3),
+    assert canonical_generators(fams) == [
+        ((1, 2), (1, 3), (2, 1)),
+        ((1, 3), (2, 1), (2, 2)),
     ]
 
 
@@ -413,7 +421,7 @@ def test_canonical_generators_match_inside_faces(m, n, r):
     cx, _ = path_complex(spec, fams)
     gens = sorted(
         tuple(sorted(spec.vertex_index(p) for p in face))
-        for face, _ in canonical_generators(fams)
+        for face in canonical_generators(fams)
     )
     assert gens == sorted(tuple(g) for g in minimal_inside_faces(cx))
 
@@ -444,7 +452,7 @@ def test_certificate_restriction_faces_are_corner_sets(m, n, r, seed):
     assert certified_h(cx, cert.shelling) == h_via_corners(fams)
     gens = sorted(
         tuple(sorted(spec.vertex_index(p) for p in face))
-        for face, _ in canonical_generators(fams)
+        for face in canonical_generators(fams)
     )
     assert sorted(certified_inside_faces(cx, cert)) == gens
 
@@ -454,7 +462,8 @@ def test_certificate_restriction_faces_are_corner_sets(m, n, r, seed):
     [(2, 3, 1, {1}), (4, 5, 2, {2, 3, 4}), (3, 4, 1, {1, 2})],
 )
 def test_corner_spectrum(m, n, r, expected):
-    assert corner_spectrum(m, n, r) == expected == set(range(r, r * (m - r) + 1))
+    fams = enumerate_facets(MinorSpec.diagonal(m, n, r))
+    assert corner_spectrum(m, n, r, fams) == expected == set(range(r, r * (m - r) + 1))
 
 
 def test_construct_nonflippable_whole_range():
@@ -462,7 +471,7 @@ def test_construct_nonflippable_whole_range():
     for m, n, r in [(4, 5, 2), (6, 7, 3), (3, 3, 1), (4, 4, 2), (5, 5, 2)]:
         for t in range(r, r * (m - r) + 1):
             fam = construct_nonflippable(m, n, r, t)
-            assert fam.corner_count == t and is_non_flippable(fam)
+            assert len(fam.corners) == t and is_non_flippable(fam)
     with pytest.raises(ValueError, match="range"):
         construct_nonflippable(4, 5, 2, 5)
     with pytest.raises(ValueError, match="range"):
@@ -489,7 +498,7 @@ def test_corner_counts_capped_by_spectrum_top():
     for m, n, r in SMALL_SPECS:
         fams = enumerate_facets(MinorSpec.diagonal(m, n, r))
         top = r * (m - r)
-        assert max(f.corner_count for f in fams) <= top
+        assert max(len(f.corners) for f in fams) <= top
         h = h_via_corners(fams)
         assert all(x == 0 for x in h[top + 1 :])
 
