@@ -15,7 +15,8 @@ Commands take key=value parameters, e.g.::
 one record of both the complex and its order.
 
 Exit codes: 0 all verdicts PASS, 1 any FAIL, 2 usage or I/O error,
-3 verdicts INAPPLICABLE only.  Reports are byte-stable for fixed inputs:
+3 verdicts INAPPLICABLE only, 4 an internal check failed (an
+``ArithmeticError``, reported as one ``internal error:`` line).  Reports are byte-stable for fixed inputs:
 canonical JSON key order, sorted lists, and every numeric field an exact
 integer or a rational rendered as "p/q".
 """
@@ -37,6 +38,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -278,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

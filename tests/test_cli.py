@@ -293,6 +293,20 @@ def test_fail_verdict_exits_1(monkeypatch, capsys):
     assert json.loads(stdout) == {**failing.to_json_dict(), "seed": 0}
 
 
+def test_internal_fault_exits_4(monkeypatch, capsys):
+    # no corpus instance trips an internal check, so one is made to fail
+    def broken(*args, **kwargs):
+        raise ArithmeticError("certified h disagrees with the f-vector")
+
+    monkeypatch.setattr(bounds, "check_conjecture", broken)
+    code, stdout, err = run(capsys, "check", "minor", "m=2", "n=3", "r=1")
+    assert (code, stdout, err) == (
+        4,
+        "",
+        "internal error: certified h disagrees with the f-vector\n",
+    )
+
+
 def test_kind_with_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "ball.cx"
     write_complex(path, MINOR23)
