@@ -1,9 +1,9 @@
-"""Corner counts of non-flippable facets and explicit constructions.
+"""Corner counts of non-flippable facets and a witness for each.
 
 A facet is non-flippable when no path of it, taken alone, can trade a
 point for its diagonal neighbour; the possible corner counts of such facets
-fill the whole interval [r, r(m-r)], and each value is realized by an
-explicit staircase placement, rendered here for the 6x7 grid with r = 3.
+fill the whole interval [r, r(m-r)].  The first enumerated facet with each
+count is its witness, rendered here for the 6x7 grid with r = 3.
 A flip that lands on a sibling path is blocked in the family, so a few
 flippable facets are still corner-maximal; the last lines list them.
 """
@@ -12,7 +12,8 @@ import shellball as sb
 
 for m, n, r in [(2, 3, 1), (4, 5, 2), (6, 7, 3)]:
     facets = sb.enumerate_facets(sb.MinorSpec.diagonal(m, n, r))
-    spectrum = sorted(sb.corner_spectrum(m, n, r, facets))
+    witnesses = sb.corner_spectrum(facets)
+    spectrum = sorted(witnesses)
     print(
         f"{m}x{n}, r={r}: {len(facets)} facets, "
         f"non-flippable corner counts {spectrum} "
@@ -21,7 +22,7 @@ for m, n, r in [(2, 3, 1), (4, 5, 2), (6, 7, 3)]:
 
 print("\nconstructed non-flippable facets on the 6x7 grid (corners upper-case):\n")
 for t in (3, 6, 9):
-    fam = sb.construct_nonflippable(6, 7, 3, t)
+    fam = witnesses[t]
     print(f"t = {t}: corners {sorted(fam.corners)}")
     print(sb.render_ascii(fam))
     print()

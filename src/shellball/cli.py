@@ -12,13 +12,14 @@ Commands take key=value parameters, e.g.::
 
 `generate` writes the facet lines in the certified shelling order, and
 `check --file` takes its order from the file's lines, so the file is the
-one record of both the complex and its order.
+one record of both the complex and its order.  `corners` lists under
+`constructions` the corners of the first enumerated witness of each count.
 
 Exit codes: 0 all verdicts PASS, 1 any FAIL, 2 usage or I/O error,
 3 verdicts INAPPLICABLE only, 4 an internal check failed (an
-``ArithmeticError``, reported as one ``internal error:`` line).  Reports are byte-stable for fixed inputs:
-canonical JSON key order, sorted lists, and every numeric field an exact
-integer or a rational rendered as "p/q".
+``ArithmeticError``, printed as one ``internal error:`` line).  Reports
+are byte-stable for fixed inputs: canonical JSON key order, sorted lists,
+and every numeric field an exact integer or a rational rendered as "p/q".
 """
 
 from __future__ import annotations
@@ -186,24 +187,21 @@ def cmd_corners(args) -> int:
     kv = _params(args.params, ("m", "n", "r"))
     m, n, r = _int_param(kv, "m"), _int_param(kv, "n"), _int_param(kv, "r")
     facets = paths.enumerate_facets(paths.MinorSpec.diagonal(m, n, r), args.max_facets)
-    spectrum = paths.corner_spectrum(m, n, r, facets)
-    constructions = {
-        t: sorted(paths.construct_nonflippable(m, n, r, t).corners) for t in sorted(spectrum)
-    }
-    expected = set(range(r, r * (m - r) + 1))
+    witnesses = paths.corner_spectrum(facets)
+    expected = list(range(r, r * (m - r) + 1))
     payload = {
         "kind": "corner-spectrum",
         "m": m,
         "n": n,
         "r": r,
         "facets": len(facets),
-        "spectrum": sorted(spectrum),
-        "expected": sorted(expected),
-        "matches": spectrum == expected,
-        "constructions": {str(t): [list(p) for p in pts] for t, pts in constructions.items()},
+        "spectrum": sorted(witnesses),
+        "expected": expected,
+        "matches": sorted(witnesses) == expected,
+        "constructions": {str(t): sorted(map(list, f.corners)) for t, f in witnesses.items()},
     }
     _emit(canonical_json(payload), args.out)
-    return EXIT_PASS if spectrum == expected else EXIT_FAIL
+    return EXIT_PASS if payload["matches"] else EXIT_FAIL
 
 
 def cmd_cyclic(args) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -183,13 +182,6 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
 # flips
 
 
-def _is_valid_path(path: tuple[Point, ...]) -> bool:
-    for (i1, j1), (i2, j2) in zip(path, path[1:]):
-        if not ((i2, j2) == (i1 + 1, j1) or (i2, j2) == (i1, j1 - 1)):
-            return False
-    return True
-
-
 def _flip_sites(path: tuple[Point, ...]) -> list[Point]:
     """Points v with v, v+(1,0), v+(0,1) on the path and neither neighbour a corner."""
     free = set(path) - path_corners(path)
@@ -321,77 +313,19 @@ def h_via_corners(facets: list[PathFamily]) -> tuple[int, ...]:
     return tuple(counts.get(i, 0) for i in range(d + 1))
 
 
-def corner_spectrum(m: int, n: int, r: int, facets: list[PathFamily]) -> set[int]:
-    """Corner counts of the per-path non-flippable facets of the [1..r|1..r] complex."""
-    if not 1 <= r <= m - 1 or m > n:
+def corner_spectrum(facets: list[PathFamily]) -> dict[int, PathFamily]:
+    """Each corner count of a per-path non-flippable facet, mapped to its witness:
+    the first such facet in list order.  On [1..r|1..r] the counts fill [r, r(m-r)]."""
+    if not facets:
+        raise ValueError("no facets")
+    spec = facets[0].spec
+    if not 1 <= spec.r <= spec.m - 1:
         raise ValueError("need 1 <= r <= m-1 and m <= n")
-    return {len(fam.corners) for fam in facets if is_non_flippable(fam)}
-
-
-def _path_from_corners(
-    a: int, b: int, m: int, n: int, corner_list: Iterable[Point]
-) -> tuple[Point, ...]:
-    """The path from (a, n) to (m, b) with the given corners.
-
-    Walks left along the row to the next corner's column and down to that
-    corner, then left to column b and down to row m.
-    """
-    cs = sorted(corner_list)
-    pts: list[Point] = []
-    row, col = a, n
-    for cr, cc in cs + [(m, b)]:
-        pts.extend((row, j) for j in range(col, cc, -1))
-        pts.extend((i, cc) for i in range(row, cr))
-        row, col = cr, cc
-    path = tuple(pts) + ((m, b),)
-    if not (_is_valid_path(path) and path[0] == (a, n)):
-        raise ArithmeticError(f"corners {cs} give no lattice path from {(a, n)} to {(m, b)}")
-    if path_corners(path) != frozenset(cs):
-        raise ArithmeticError(f"path through corners {cs} has corners {sorted(path_corners(path))}")
-    return path
-
-
-def construct_nonflippable(m: int, n: int, r: int, t: int) -> PathFamily:
-    """A non-flippable facet of the [1..r|1..r] complex with exactly t corners.
-
-    Writes t = r + p*(m-r-1) + q and places maximal zig-zags on the last p
-    paths, a diagonal run of q+1 corners on path r-p and a single corner on
-    each remaining path.  On a square grid (n == m) the zig-zags sit one
-    column further right, since a path's last corner must lie strictly right
-    of its end column.
-    """
-    if not 1 <= r <= m - 1 or m > n:
-        raise ValueError("need 1 <= r <= m-1 and m <= n")
-    if not r <= t <= r * (m - r):
-        raise ValueError(f"t outside range [{r}, {r * (m - r)}]")
-    if m - r - 1 == 0:
-        p, q = 0, 0
-    else:
-        p, q = divmod(t - r, m - r - 1)
-    spec = MinorSpec.diagonal(m, n, r)
-    corner_sets: dict[int, list[Point]] = {}
-    shift = 1 if n == m else 0
-    for k in range(p):
-        corner_sets[r - k] = [(r - k + s, n - k - s + shift) for s in range(1, m - r + 1)]
-    if p < r:
-        corner_sets[r - p] = [(r - p + 1 + u, r - p + 1 + q - u) for u in range(q + 1)]
-    for i in range(1, r - p):
-        corner_sets[i] = [(i + 1, i + 1)]
-    paths = tuple(
-        _path_from_corners(i, i, m, n, corner_sets[i]) for i in range(1, r + 1)
-    )
-    seen: set[Point] = set()
-    for path in paths:
-        for pt in path:
-            if pt in seen:
-                raise ValueError(f"constructed paths collide at {pt}")
-            seen.add(pt)
-    fam = PathFamily(spec, paths)
-    if len(fam.corners) != t:
-        raise ArithmeticError(f"constructed facet has {len(fam.corners)} corners, want {t}")
-    if not is_non_flippable(fam):
-        raise ArithmeticError("constructed facet is flippable")
-    return fam
+    witnesses: dict[int, PathFamily] = {}
+    for fam in facets:
+        if is_non_flippable(fam):
+            witnesses.setdefault(len(fam.corners), fam)
+    return witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ def test_criterion_3_corner_spectrum(minor):
     for m, n, r in [(2, 3, 1), (4, 5, 2), (6, 7, 3)]:
         spec = sb.MinorSpec.diagonal(m, n, r)
         fams = sb.enumerate_facets(spec)
-        assert sb.corner_spectrum(m, n, r, fams) == set(range(r, r * (m - r) + 1))
-    figure = sb.construct_nonflippable(6, 7, 3, 6)
+        witnesses = sb.corner_spectrum(fams)
+        assert set(witnesses) == set(range(r, r * (m - r) + 1))
+    figure = witnesses[6]
     assert figure.corners == {(2, 2), (3, 4), (4, 3), (4, 6), (5, 5), (6, 4)}
     line("criterion 3", "PASS  spectra = {r..r(m-r)}; (6,7,3,t=6) corner set reproduced")
 

@@ -159,8 +159,7 @@ def test_dual_command(capsys):
 
 
 def test_corners_command(capsys):
-    # a square grid places its zig-zags one column further right
-    for n in ("n=5", "n=4"):
+    for n in ("n=5", "n=4", "n=6"):
         code, stdout, _ = run(capsys, "corners", "m=4", n, "r=2")
         assert code == 0
         rep = json.loads(stdout)

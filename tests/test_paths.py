@@ -17,12 +17,10 @@ from shellball.complexes import (
 from shellball.paths import (
     MinorSpec,
     PathFamily,
-    _path_from_corners,
     _successors,
     admits_family_flip,
     boundary_via_corners,
     canonical_generators,
-    construct_nonflippable,
     corner_spectrum,
     enumerate_facets,
     flip,
@@ -147,12 +145,12 @@ def test_corners_of_staircase_and_bend():
 
 
 def test_figure_construction_r_corners():
-    fam = construct_nonflippable(6, 7, 3, 3)
+    fam = corner_spectrum(enumerate_facets(MinorSpec.diagonal(6, 7, 3)))[3]
     assert fam.corners == {(2, 2), (3, 3), (4, 4)}
 
 
 def test_figure_construction_t6():
-    fam = construct_nonflippable(6, 7, 3, 6)
+    fam = corner_spectrum(enumerate_facets(MinorSpec.diagonal(6, 7, 3)))[6]
     assert fam.corners == FIGURE_CORNERS
     assert is_non_flippable(fam)
 
@@ -166,30 +164,22 @@ def test_flip_on_minor23():
 
 
 def test_internal_checks_raise(monkeypatch):
-    # the checks are raised errors, not asserts, so `python -O` keeps them;
-    # the callers build their corner sets, so a malformed one is an internal fault
+    # the check is a raised error, not an assert, so `python -O` keeps it
     import shellball.paths as paths
 
-    for corners in [(2, 2), (3, 3)], [(1, 3)], [(3, 1)], [(2, 5)], [(3, 2), (3, 1)]:
-        with pytest.raises(ArithmeticError):
-            _path_from_corners(1, 1, 3, 4, corners)
     monkeypatch.setattr(paths, "path_corners", lambda path: frozenset())
     with pytest.raises(ArithmeticError, match="has corners"):
         flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
-    with pytest.raises(ArithmeticError, match="has corners"):
-        construct_nonflippable(6, 7, 3, 3)
 
 
 def test_flip_grows_corners_everywhere():
-    # every path is the one its corners give, and every path flip on every
-    # facet replaces v by v+(1,1) in place and strictly enlarges the corner set
+    # every path flip on every facet replaces v by v+(1,1) in place and
+    # strictly enlarges the corner set
     for m, n, r in SMALL_SPECS:
         for fam in enumerate_facets(MinorSpec.diagonal(m, n, r)):
             for path in fam.paths:
                 pts = set(path)
                 crn = path_corners(path)
-                (a, right_end), (bottom, b) = path[0], path[-1]
-                assert _path_from_corners(a, b, bottom, right_end, crn) == path
                 for k, v in enumerate(path):
                     down, right = (v[0] + 1, v[1]), (v[0], v[1] + 1)
                     if down in pts and right in pts and down not in crn and right not in crn:
@@ -463,19 +453,29 @@ def test_certificate_restriction_faces_are_corner_sets(m, n, r, seed):
 )
 def test_corner_spectrum(m, n, r, expected):
     fams = enumerate_facets(MinorSpec.diagonal(m, n, r))
-    assert corner_spectrum(m, n, r, fams) == expected == set(range(r, r * (m - r) + 1))
+    assert set(corner_spectrum(fams)) == expected == set(range(r, r * (m - r) + 1))
 
 
-def test_construct_nonflippable_whole_range():
-    # square grids place the zig-zags one column further right
-    for m, n, r in [(4, 5, 2), (6, 7, 3), (3, 3, 1), (4, 4, 2), (5, 5, 2)]:
-        for t in range(r, r * (m - r) + 1):
-            fam = construct_nonflippable(m, n, r, t)
-            assert len(fam.corners) == t and is_non_flippable(fam)
-    with pytest.raises(ValueError, match="range"):
-        construct_nonflippable(4, 5, 2, 5)
-    with pytest.raises(ValueError, match="range"):
-        construct_nonflippable(4, 5, 2, 1)
+def test_corner_spectrum_witnesses_sweep():
+    # all 50 diagonal shapes with 2 <= m <= 5, m <= n <= 8, among them the
+    # shapes (4,6..8,2), (5,7..8,2) and (5,7..8,3) where a hand-placed
+    # staircase witness turned out flippable
+    for m in range(2, 6):
+        for n in range(m, 9):
+            for r in range(1, m):
+                fams = enumerate_facets(MinorSpec.diagonal(m, n, r))
+                witnesses = corner_spectrum(fams)
+                assert sorted(witnesses) == list(range(r, r * (m - r) + 1))
+                for t, fam in witnesses.items():
+                    assert is_non_flippable(fam) and len(fam.corners) == t
+                    earlier = fams[: fams.index(fam)]
+                    assert not any(
+                        is_non_flippable(f) and len(f.corners) == t for f in earlier
+                    )
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= m-1 and m <= n$"):
+        corner_spectrum(enumerate_facets(MinorSpec.diagonal(3, 4, 3)))
+    with pytest.raises(ValueError, match="^no facets$"):
+        corner_spectrum([])
 
 
 @pytest.mark.parametrize("m,n,r", [(2, 3, 1), (3, 4, 1), (3, 4, 2)])
