@@ -457,9 +457,8 @@ def test_corner_spectrum(m, n, r, expected):
 
 
 def test_corner_spectrum_witnesses_sweep():
-    # all 50 diagonal shapes with 2 <= m <= 5, m <= n <= 8, among them the
-    # shapes (4,6..8,2), (5,7..8,2) and (5,7..8,3) where a hand-placed
-    # staircase witness turned out flippable
+    # all 50 diagonal shapes with 2 <= m <= 5 and m <= n <= 8, so also the
+    # shapes with n >= m + 2 that a sweep over near-square grids misses
     for m in range(2, 6):
         for n in range(m, 9):
             for r in range(1, m):
