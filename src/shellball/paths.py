@@ -20,7 +20,7 @@ inside faces, the corner-count h-vector, and the prefix boundary test.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -252,8 +252,18 @@ def _successors(facets: list[PathFamily]) -> list[list[int]]:
 
 
 def _extension(succ: list[list[int]], pick) -> list[int]:
-    indeg = Counter(k for ks in succ for k in ks)
-    ready = [j for j in range(len(succ)) if indeg[j] == 0]
+    """A linear extension of the relation ``succ``, one ``pick(ready)`` per step.
+
+    ``ready`` holds the facets whose predecessors are all placed and is kept
+    sorted on every insert, so ``pick`` sees the same list, and makes the same
+    choices and rng draws, as if ``ready`` were sorted after every step.  The
+    work is linear in facets plus comparable pairs, plus the ``insort`` moves.
+    """
+    indeg = [0] * len(succ)
+    for ks in succ:
+        for k in ks:
+            indeg[k] += 1
+    ready = [j for j, d in enumerate(indeg) if d == 0]
     order: list[int] = []
     while ready:
         j = pick(ready)
@@ -262,8 +272,7 @@ def _extension(succ: list[list[int]], pick) -> list[int]:
         for k in succ[j]:
             indeg[k] -= 1
             if indeg[k] == 0:
-                ready.append(k)
-        ready.sort()
+                insort(ready, k)
     if len(order) != len(succ):
         raise ValueError("facet order inconsistency: cycle detected")
     return order
@@ -279,6 +288,8 @@ def random_shelling_orders(
     facets: list[PathFamily], count: int, seed: int
 ) -> list[list[PathFamily]]:
     """Seeded random linear extensions of the facet order."""
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     rng = random.Random(seed)
     succ = _successors(facets)
     return [

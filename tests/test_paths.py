@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +18,7 @@ from shellball.complexes import (
 from shellball.paths import (
     MinorSpec,
     PathFamily,
+    _extension,
     _successors,
     admits_family_flip,
     boundary_via_corners,
@@ -366,17 +368,99 @@ def sweep_successors(facets):
     ]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [MinorSpec.diagonal(5, 6, 2), MinorSpec.diagonal(5, 7, 1)] + ORDER_SPECS[len(SMALL_SPECS) :],
-    ids=spec_id,
-)
+# the benchmark's two minors and the non-diagonal ones
+LARGE_ORDER_SPECS = [
+    MinorSpec.diagonal(5, 6, 2),
+    MinorSpec.diagonal(5, 7, 1),
+] + ORDER_SPECS[len(SMALL_SPECS) :]
+
+
+@pytest.mark.parametrize("spec", LARGE_ORDER_SPECS, ids=spec_id)
 def test_successors_match_facet_leq_sweep(spec):
     fams = enumerate_facets(spec)
     assert _successors(fams) == sweep_successors(fams)
 
 
+def counter_sort_extension(succ, pick):
+    """Oracle for `_extension`: in-degrees in a `Counter`, `ready` re-sorted after every step."""
+    indeg = Counter(k for ks in succ for k in ks)
+    ready = [j for j in range(len(succ)) if indeg[j] == 0]
+    order = []
+    while ready:
+        j = pick(ready)
+        ready.remove(j)
+        order.append(j)
+        for k in succ[j]:
+            indeg[k] -= 1
+            if indeg[k] == 0:
+                ready.append(k)
+        ready.sort()
+    if len(order) != len(succ):
+        raise ValueError("facet order inconsistency: cycle detected")
+    return order
+
+
+@pytest.mark.parametrize("spec", LARGE_ORDER_SPECS, ids=spec_id)
+def test_orders_match_counter_sort_oracle(spec):
+    fams = enumerate_facets(spec)
+    succ = _successors(fams)
+    order = counter_sort_extension(succ, lambda ready: ready[0])
+    assert shelling_order(fams) == [fams[i] for i in order]
+    for seed in (0, 1, 7):
+        rng = random.Random(seed)
+        expected = [[fams[i] for i in counter_sort_extension(succ, rng.choice)] for _ in range(3)]
+        assert random_shelling_orders(fams, 3, seed) == expected
+
+
+def spy(pick):
+    """`pick` that records each `ready` it sees and asserts that it is sorted."""
+    seen: list[list[int]] = []
+
+    def call(ready):
+        assert ready == sorted(ready)
+        seen.append(list(ready))
+        return pick(ready)
+
+    return call, seen
+
+
+def test_extension_places_ready_facets_before_finding_a_cycle():
+    # 0 -> 1 -> 2 -> 0, with facet 3 ready beside the cycle
+    pick, seen = spy(lambda ready: ready[0])
+    with pytest.raises(ValueError, match="cycle detected"):
+        _extension([[1], [2], [0], []], pick)
+    assert seen == [[3]]
+
+
+def test_extension_waits_for_the_last_predecessor():
+    pick, seen = spy(lambda ready: ready[-1])
+    assert _extension([[3], [3], [3], []], pick) == [2, 1, 0, 3]
+    assert seen == [[0, 1, 2], [0, 1], [0], [3]]
+
+
+@pytest.mark.parametrize(
+    "spec", [MinorSpec.diagonal(4, 5, 2)] + ORDER_SPECS[len(SMALL_SPECS) :], ids=spec_id
+)
+def test_extension_picks_from_a_sorted_ready_list(spec):
+    # the picks, and so the rng draws, are those of a loop that sorts after every step
+    succ = _successors(enumerate_facets(spec))
+    for choose in (lambda ready: ready[0], random.Random(3).choice):
+        pick, seen = spy(choose)
+        assert sorted(_extension(succ, pick)) == list(range(len(succ)))
+        assert len(seen) == len(succ)
+
+
+def test_negative_extension_count_is_refused():
+    fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
+    with pytest.raises(ValueError, match=r"need count >= 0, got -1"):
+        random_shelling_orders(fams, -1, seed=0)
+    assert random_shelling_orders(fams, 0, seed=0) == []
+
+
 def test_no_facets_have_an_empty_order():
+    pick, seen = spy(lambda ready: ready[0])
+    assert _extension([], pick) == []
+    assert seen == []
     assert shelling_order([]) == []
     assert random_shelling_orders([], 2, seed=0) == [[], []]
 
