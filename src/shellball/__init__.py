@@ -40,18 +40,13 @@ from .homology import (
     has_linear_resolution,
     hochster_betti_table,
     linear_resolution_reason,
-    reduced_homology_ranks,
     shifts,
 )
 from .paths import (
     MinorSpec,
     PathFamily,
-    admits_family_flip,
-    boundary_via_corners,
-    canonical_generators,
     corner_spectrum,
     enumerate_facets,
-    flip,
     h_via_corners,
     is_corner_maximal,
     is_non_flippable,
@@ -81,15 +76,12 @@ __all__ = [
     "PathFamily",
     "ShellingCertificate",
     "SimplicialComplex",
-    "admits_family_flip",
     "alexander_dual",
     "betti_bounds",
     "boundary_complex",
     "boundary_h_from_h",
-    "boundary_via_corners",
     "build_complex",
     "canonical_generator_degrees",
-    "canonical_generators",
     "certified_h",
     "certified_inside_faces",
     "check_conjecture",
@@ -103,7 +95,6 @@ __all__ = [
     "enumerate_facets",
     "f_from_h",
     "f_vector",
-    "flip",
     "h_vector",
     "h_via_corners",
     "has_linear_resolution",
@@ -121,7 +112,6 @@ __all__ = [
     "polarize",
     "power_ideal_complex",
     "random_shelling_orders",
-    "reduced_homology_ranks",
     "render_ascii",
     "shelling_order",
     "shift_bound",

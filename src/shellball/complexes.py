@@ -134,9 +134,6 @@ class SimplicialComplex:
             self._faces = levels
         return self._faces
 
-    def is_face(self, mask: int) -> bool:
-        return mask in self.faces_by_size().get(mask.bit_count(), ())
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

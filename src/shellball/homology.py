@@ -105,19 +105,6 @@ def _sorted_faces(cx: SimplicialComplex) -> list[int]:
     return sorted(m for masks in cx.faces_by_size().values() for m in masks)
 
 
-def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, int]:
-    """Ranks of reduced homology in dimensions -1..dim.
-
-    Every dimension in range is reported, zeros included.  The complex whose
-    only face is the empty face has rank 1 in dimension -1; the void complex
-    (no faces at all, e.g. the boundary of a sphere) has none, so it gives
-    {-1: 0}.
-    """
-    char = check_field(field)
-    faces = _sorted_faces(cx)
-    return _reduced_ranks(faces, _columns(faces, char), char)
-
-
 # ---------------------------------------------------------------------------
 # Betti tables
 

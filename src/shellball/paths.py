@@ -12,9 +12,11 @@ and value, one bitset holds the facets whose entry is at least that value,
 and the facets above a facet are the AND of one bitset per entry.
 
 A *corner* of a path is a point whose upper and left neighbours both lie on
-the same path.  Corners drive the flip move that grows a path's corner set,
-the corner-maximal facets whose point sets minus corners are the minimal
-inside faces, the corner-count h-vector, and the prefix boundary test.
+the same path.  Here corners give the corner-count h-vector, the flip sites
+behind per-path non-flippability and the corner spectrum with its witnesses,
+and corner-maximality (no facet has a larger corner set).  The flip move
+itself, the corner-maximal generators of the minimal inside faces and the
+prefix boundary test are checked in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -188,30 +190,9 @@ def _flip_sites(path: tuple[Point, ...]) -> list[Point]:
     return [v for v in path if (v[0] + 1, v[1]) in free and (v[0], v[1] + 1) in free]
 
 
-def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
-    """Replace v by v+(1,1) at the same index; legal at a flip site (v, v+(1,0),
-    v+(0,1) lie on the path and neither neighbour is a corner).  The corner set
-    grows by exactly v+(1,1)."""
-    if v not in _flip_sites(path):
-        raise ValueError(f"not flippable at {v}")
-    k = path.index(v)
-    out = path[:k] + ((v[0] + 1, v[1] + 1),) + path[k + 1 :]
-    if path_corners(out) != path_corners(path) | {out[k]}:
-        raise ArithmeticError(f"path flipped at {v} has corners {sorted(path_corners(out))}")
-    return out
-
-
 def is_non_flippable(family: PathFamily) -> bool:
     """No path of the family admits a flip, ignoring the sibling paths."""
     return not any(_flip_sites(p) for p in family.paths)
-
-
-def admits_family_flip(family: PathFamily) -> bool:
-    """Some path admits a flip whose new point misses the sibling paths (it is
-    never on its own path, which runs v+(0,1), v, v+(1,0))."""
-    return any(
-        (x + 1, y + 1) not in family.points for path in family.paths for (x, y) in _flip_sites(path)
-    )
 
 
 def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
@@ -298,19 +279,7 @@ def random_shelling_orders(
 
 
 # ---------------------------------------------------------------------------
-# canonical module data and corner counts
-
-
-def canonical_generators(facets: list[PathFamily]) -> list[tuple[Point, ...]]:
-    """The faces F - corners(F) of the corner-maximal facets, by size, then points.
-
-    Corner-maximality, not per-path non-flippability, is what indexes the
-    minimal inside faces: a per-path flip may be blocked by a sibling path,
-    leaving the facet corner-maximal although a path of it is flippable in
-    isolation.
-    """
-    faces = [tuple(sorted(f.points - f.corners)) for f in facets if is_corner_maximal(f, facets)]
-    return sorted(faces, key=lambda face: (len(face), face))
+# corner counts
 
 
 def h_via_corners(facets: list[PathFamily]) -> tuple[int, ...]:
@@ -340,7 +309,7 @@ def corner_spectrum(facets: list[PathFamily]) -> dict[int, PathFamily]:
 
 
 # ---------------------------------------------------------------------------
-# Stanley-Reisner generators and boundary membership
+# Stanley-Reisner generators
 
 
 def sr_generators(spec: MinorSpec) -> list[tuple[Point, ...]]:
@@ -363,28 +332,6 @@ def sr_generators(spec: MinorSpec) -> list[tuple[Point, ...]]:
                     cands.append(mask_of(map(spec.vertex_index, zip(rows, cols))))
     # row-major indices order a diagonal's points, and diagonals, as the points do
     return [tuple(map(spec.point_of, vertices_of(g))) for g in minimal_masks(cands)]
-
-
-def boundary_via_corners(facets: list[PathFamily], i: int):
-    """Membership test for the boundary of the length-i shelling prefix.
-
-    A face G of the prefix lies on the boundary iff no prefix facet F
-    containing G has F - G inside the corner set of F.  Returns a predicate
-    on point collections; faces outside the prefix test False.
-    """
-    data = [(fam.points, fam.corners) for fam in facets[:i]]
-
-    def predicate(face_points) -> bool:
-        fp = frozenset(face_points)
-        in_prefix = False
-        for pts, crn in data:
-            if fp <= pts:
-                in_prefix = True
-                if pts - fp <= crn:
-                    return False
-        return in_prefix
-
-    return predicate
 
 
 # ---------------------------------------------------------------------------

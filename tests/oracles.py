@@ -1,0 +1,98 @@
+"""Reference functions that only the tests call.
+
+Each one restates a result of the paper in its most direct form: the flip
+move on one path, family flips against corner-maximality, the corner-maximal
+generators of the minimal inside faces, the prefix boundary test, reduced
+homology of a whole complex, and face membership by lookup in the face
+lattice.  No pipeline stage, CLI command or demo calls them; the library
+computes the same objects from shelling certificates and Hochster walks, and
+the tests compare the two.  Keeping them here keeps `shellball` to the
+pipeline and the paper's objects, and keeps each oracle apart from the code
+it checks.
+"""
+
+from __future__ import annotations
+
+from shellball.complexes import SimplicialComplex
+from shellball.homology import _columns, _reduced_ranks, _sorted_faces, check_field
+from shellball.paths import PathFamily, Point, _flip_sites, is_corner_maximal, path_corners
+
+
+def is_face(cx: SimplicialComplex, mask: int) -> bool:
+    return mask in cx.faces_by_size().get(mask.bit_count(), ())
+
+
+# ---------------------------------------------------------------------------
+# flips and corner-maximal facets
+
+
+def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
+    """Replace v by v+(1,1) at the same index; legal at a flip site (v, v+(1,0),
+    v+(0,1) lie on the path and neither neighbour is a corner).  The corner set
+    grows by exactly v+(1,1)."""
+    if v not in _flip_sites(path):
+        raise ValueError(f"not flippable at {v}")
+    k = path.index(v)
+    out = path[:k] + ((v[0] + 1, v[1] + 1),) + path[k + 1 :]
+    if path_corners(out) != path_corners(path) | {out[k]}:
+        raise ArithmeticError(f"path flipped at {v} has corners {sorted(path_corners(out))}")
+    return out
+
+
+def admits_family_flip(family: PathFamily) -> bool:
+    """Some path admits a flip whose new point misses the sibling paths (it is
+    never on its own path, which runs v+(0,1), v, v+(1,0))."""
+    return any(
+        (x + 1, y + 1) not in family.points for path in family.paths for (x, y) in _flip_sites(path)
+    )
+
+
+def canonical_generators(facets: list[PathFamily]) -> list[tuple[Point, ...]]:
+    """The faces F - corners(F) of the corner-maximal facets, by size, then points.
+
+    Corner-maximality, not per-path non-flippability, is what indexes the
+    minimal inside faces: a per-path flip may be blocked by a sibling path,
+    leaving the facet corner-maximal although a path of it is flippable in
+    isolation.
+    """
+    faces = [tuple(sorted(f.points - f.corners)) for f in facets if is_corner_maximal(f, facets)]
+    return sorted(faces, key=lambda face: (len(face), face))
+
+
+def boundary_via_corners(facets: list[PathFamily], i: int):
+    """Membership test for the boundary of the length-i shelling prefix.
+
+    A face G of the prefix lies on the boundary iff no prefix facet F
+    containing G has F - G inside the corner set of F.  Returns a predicate
+    on point collections; faces outside the prefix test False.
+    """
+    data = [(fam.points, fam.corners) for fam in facets[:i]]
+
+    def predicate(face_points) -> bool:
+        fp = frozenset(face_points)
+        in_prefix = False
+        for pts, crn in data:
+            if fp <= pts:
+                in_prefix = True
+                if pts - fp <= crn:
+                    return False
+        return in_prefix
+
+    return predicate
+
+
+# ---------------------------------------------------------------------------
+# homology of a whole complex
+
+
+def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, int]:
+    """Ranks of reduced homology in dimensions -1..dim.
+
+    Every dimension in range is reported, zeros included.  The complex whose
+    only face is the empty face has rank 1 in dimension -1; the void complex
+    (no faces at all, e.g. the boundary of a sphere) has none, so it gives
+    {-1: 0}.
+    """
+    char = check_field(field)
+    faces = _sorted_faces(cx)
+    return _reduced_ranks(faces, _columns(faces, char), char)

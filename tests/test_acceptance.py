@@ -1,15 +1,19 @@
 """Acceptance suite: one test per desk-scale criterion, exact arithmetic only.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
-per criterion.  Criterion 9b is a strict expected failure: the corner/core
-biconditional is false as a statement about arbitrary facet pairs (the
-containment only transfers from cores to corner sets, not back); see
-tests/test_paths.py for the pinned counterexamples.
+per criterion.  Criterion 9b has no test here, because the corner/core
+biconditional is false over arbitrary facet pairs: containment transfers
+from cores to corner sets but not back.  tests/test_paths.py checks each
+direction: test_core_containment_implies_corner_containment on the five
+pipeline shapes, and test_corner_containment_does_not_imply_core_containment
+with the 2x3 and 3x4 counterexamples.  Criterion 4 compares the library
+with the corner-maximal generators in tests/oracles.py.
 """
 
 import pytest
 
 import shellball as sb
+from tests.oracles import canonical_generators
 
 SEED = 20240811
 
@@ -104,7 +108,7 @@ def test_criterion_3_corner_spectrum(minor):
 def test_criterion_4_canonical_degrees(minor):
     for m, n, r in [(2, 3, 1), (3, 4, 2), (3, 5, 1)]:
         spec, fams, cx, _ = minor(m, n, r)
-        degrees = sorted(len(face) for face in sb.canonical_generators(fams))
+        degrees = sorted(len(face) for face in canonical_generators(fams))
         inside = sorted(len(g) for g in sb.minimal_inside_faces(cx))
         assert degrees == inside
         lo, hi = r * n, r * (n + m - r - 1)
@@ -188,35 +192,6 @@ def test_criterion_9a_random_extensions(minor):
             order = [pos[fam.mask] for fam in ordered]
             assert sb.verify_shelling(cx, order).ok
     line("criterion 9a", f"PASS  100 seeded extensions shell on all of {PIPELINE_INSTANCES}")
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "corner/core containment is not a biconditional over arbitrary facet "
-        "pairs: the ascending direction fails already on the 2x3 grid "
-        "(staircase vs the facet with corner (2,3)); only core-containment "
-        "=> corner-containment holds, which is what the inside-face "
-        "structure needs.  See the decisions ledger and tests/test_paths.py."
-    ),
-)
-def test_criterion_9b_corner_core_biconditional(minor):
-    violations = []
-    for m, n, r in PIPELINE_INSTANCES:
-        _, fams, _, _ = minor(m, n, r)
-        for a in fams:
-            for b in fams:
-                lhs = a.corners <= b.corners
-                rhs = (b.points - b.corners) <= (a.points - a.corners)
-                if lhs != rhs:
-                    violations.append(((m, n, r), sorted(a.corners), sorted(b.corners)))
-    if violations:
-        line(
-            "criterion 9b",
-            f"FAIL  biconditional violated for {len(violations)} facet pairs, "
-            f"first: {violations[0]}",
-        )
-    assert not violations
 
 
 def test_criterion_9c_glue_uniqueness(minor):

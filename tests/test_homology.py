@@ -24,12 +24,12 @@ from shellball.homology import (
     has_linear_resolution,
     hochster_betti_table,
     linear_resolution_reason,
-    reduced_homology_ranks,
     shifts,
 )
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import certified_h, verify_ball
+from tests.oracles import reduced_homology_ranks
 from tests.test_complexes import MINOR23, SPHERE23
 from tests.test_properties import grow_shellable_ball, pure_complexes
 

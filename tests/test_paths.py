@@ -20,12 +20,8 @@ from shellball.paths import (
     PathFamily,
     _extension,
     _successors,
-    admits_family_flip,
-    boundary_via_corners,
-    canonical_generators,
     corner_spectrum,
     enumerate_facets,
-    flip,
     h_via_corners,
     is_corner_maximal,
     is_non_flippable,
@@ -37,6 +33,13 @@ from shellball.paths import (
     sr_generators,
 )
 from shellball.shelling import certified_h, certified_inside_faces, verify_ball, verify_shelling
+from tests.oracles import (
+    admits_family_flip,
+    boundary_via_corners,
+    canonical_generators,
+    flip,
+    is_face,
+)
 
 FIGURE_CORNERS = {(2, 2), (3, 4), (4, 3), (4, 6), (5, 5), (6, 4)}
 
@@ -167,9 +170,9 @@ def test_flip_on_minor23():
 
 def test_internal_checks_raise(monkeypatch):
     # the check is a raised error, not an assert, so `python -O` keeps it
-    import shellball.paths as paths
+    import tests.oracles as oracles
 
-    monkeypatch.setattr(paths, "path_corners", lambda path: frozenset())
+    monkeypatch.setattr(oracles, "path_corners", lambda path: frozenset())
     with pytest.raises(ArithmeticError, match="has corners"):
         flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
 
@@ -629,7 +632,7 @@ def test_boundary_via_corners_matches_direct(m, n, r):
                 continue
             for mask in masks:
                 pts = [spec.point_of(v) for v in vertices_of(mask)]
-                assert pred(pts) == bd.is_face(mask)
+                assert pred(pts) == is_face(bd, mask)
 
 
 def test_dropped_corner_lands_in_unique_earlier_facet():

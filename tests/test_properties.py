@@ -27,6 +27,7 @@ from shellball.complexes import (
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import certified_h, certified_inside_faces, verify_ball, verify_shelling
+from tests.oracles import is_face
 from tests.test_complexes import SPHERE23
 
 
@@ -140,7 +141,7 @@ def bruteforce_inside_faces(cx):
     used = cx.used_mask
 
     def inside(s):
-        return cx.is_face(s) and not bd.is_face(s)
+        return is_face(cx, s) and not is_face(bd, s)
 
     return sorted(
         vertices_of(s)

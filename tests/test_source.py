@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import shellball
+from tests.test_demos import ROOT, _code
 
 
 def test_no_assert_statements():
@@ -68,3 +69,35 @@ def test_no_unused_parameters():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {what}" for line, what in _unused_parameters(tree)]
     assert not found, f"unused parameters in the library: {found}"
+
+
+def _names_read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_export_has_a_non_test_reader():
+    # an export that only the tests read is a test oracle: it belongs in
+    # tests/oracles.py, not in the library
+    lib = Path(shellball.__file__).parent
+    sources = [p for p in sorted(lib.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    sources.append(ROOT / "README.md")
+    read = set()
+    for path in sources:
+        read.update(_names_read(ast.parse(_code(path), filename=str(path))))
+    # the benchmark tracer wraps these by name with getattr
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    read.update(name for names in traced.values() for name in names)
+    unread = [name for name in shellball.__all__ if name not in read]
+    assert not unread, f"exports read only by the tests: {unread}"
