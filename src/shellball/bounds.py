@@ -176,6 +176,8 @@ def check_conjecture(
     leaves f, h, m and everything derived from m null.
     """
     check_field(field_char)
+    if max_vertices < 0:
+        raise ValueError(f"need max_vertices >= 0, got {max_vertices}")
     cert = verify_ball(ball, order)
     d = ball.dim + 1
     n = len(ball.used_vertices)

@@ -139,6 +139,8 @@ class PathFamily:
 
 def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> list[PathFamily]:
     """All families of disjoint paths, canonically ordered by vertex-index sets."""
+    if max_facets < 0:
+        raise ValueError(f"need max_facets >= 0, got {max_facets}")
     m, n, r = spec.m, spec.n, spec.r
     out: list[PathFamily] = []
     acc: list[tuple[Point, ...]] = []

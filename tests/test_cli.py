@@ -238,6 +238,8 @@ def test_missing_param_is_usage_error(capsys):
             "generate minor m=3 n=4 r=1 --max-facets 0",
             "error: facet cap 0 exceeded (partial count 0)",
         ),
+        ("check minor m=2 n=3 r=1 --max-facets -1", "error: need max_facets >= 0, got -1"),
+        ("check minor m=2 n=3 r=1 --max-vertices -1", "error: need max_vertices >= 0, got -1"),
         ("dual m=1 n=3", "error: need 2 <= m <= n"),
         ("corners m=3 n=4 r=3", "error: need 1 <= r <= m-1 and m <= n"),
         ("cyclic n=5 d=5", "error: need n > d"),
