@@ -178,6 +178,8 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         "generate minor m=3 n=4 sigma=1,3|2,4 --out delta.cx",
         "generate polar n=2 t=2",
         *(f"dual m={m} n={n}" for m in range(2, 7) for n in range(m, 7)),
+        "dual m=4 n=8",
+        "dual m=3 n=9",
         "corners m=4 n=5 r=2",
         "corners m=4 n=4 r=2",
         "corners m=4 n=6 r=2",
