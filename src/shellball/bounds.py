@@ -33,7 +33,7 @@ from .homology import (
     hochster_betti_table,
     shifts,
 )
-from .shelling import BallCertificate, certified_h, certified_inside_faces, verify_ball
+from .shelling import certified_h, certified_inside_faces, verify_ball
 
 
 def shift_bound(degrees: Sequence[int]) -> Fraction:
@@ -132,7 +132,6 @@ class ConjectureReport:
     betti_table: BettiTable | None
     verdict: str  # PASS | FAIL | INAPPLICABLE
     reasons: list[str] = field(default_factory=list)
-    certificate: BallCertificate | None = None
 
     @property
     def betti_bounds_ok(self) -> bool | None:
@@ -142,7 +141,6 @@ class ConjectureReport:
 
     def to_json_dict(self) -> dict:
         out = {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
-        del out["certificate"]
         out["betti_bounds_ok"] = self.betti_bounds_ok
         return out
 
@@ -245,5 +243,5 @@ def check_conjecture(
         L=L, U=U, L_betti=L_betti, U_betti=U_betti, A1=A1, A2=A2,
         m_in_range=m_in_range, all_vertices_on_boundary=on_boundary,
         shelling_pass=cert.shelling.ok, ball_pass=cert.ok, betti_table=table,
-        verdict=verdict, reasons=reasons, certificate=cert,
+        verdict=verdict, reasons=reasons,
     )

@@ -265,17 +265,14 @@ def _minimal_outside(levels: dict[int, set[int]], used: int) -> list[int]:
     return out
 
 
-def minimal_nonface_masks(cx: SimplicialComplex, over_universe: bool = False) -> list[int]:
-    """Inclusion-minimal nonfaces as masks.
+def minimal_nonface_masks(cx: SimplicialComplex) -> list[int]:
+    """Inclusion-minimal nonfaces over the used vertex set, as masks.
 
-    By default only subsets of the used vertex set are considered; with
-    ``over_universe`` unused vertices contribute singleton nonfaces (the
-    convention needed for Alexander duality on a fixed universe).
+    Unused vertices are not counted as nonfaces; `duality.alexander_dual`
+    works over the whole universe and finds its nonfaces without the face
+    lattice read here.
     """
-    out = _minimal_outside(cx.faces_by_size(), cx.used_mask)
-    if over_universe:
-        out.extend(1 << v for v in cx.unused_vertices)
-    return sorted(out, key=_canonical_key)
+    return sorted(_minimal_outside(cx.faces_by_size(), cx.used_mask), key=_canonical_key)
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]:

@@ -204,6 +204,8 @@ def hochster_betti_table(
     module docstring).  Without it every union of minimal nonfaces is walked.
     """
     char = check_field(field)
+    if max_vertices < 0:
+        raise ValueError(f"need max_vertices >= 0, got {max_vertices}")
     u = len(cx.used_vertices)
     if u > max_vertices:
         raise ValueError(f"used-vertex count {u} exceeds cap {max_vertices}")

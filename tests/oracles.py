@@ -3,8 +3,8 @@
 Each one restates a result of the paper in its most direct form: the flip
 move on one path, family flips against corner-maximality, the corner-maximal
 generators of the minimal inside faces, the prefix boundary test, reduced
-homology of a whole complex, and face membership by lookup in the face
-lattice.  No pipeline stage, CLI command or demo calls them; the library
+homology of a whole complex, face membership by lookup in the face lattice,
+and minimal vertex covers by branch and bound.  No pipeline stage, CLI command or demo calls them; the library
 computes the same objects from shelling certificates and Hochster walks, and
 the tests compare the two.  Keeping them here keeps `shellball` to the
 pipeline and the paper's objects, and keeps each oracle apart from the code
@@ -13,7 +13,7 @@ it checks.
 
 from __future__ import annotations
 
-from shellball.complexes import SimplicialComplex
+from shellball.complexes import SimplicialComplex, iter_bits, minimal_masks
 from shellball.homology import _columns, _reduced_ranks, _sorted_faces, check_field
 from shellball.paths import PathFamily, Point, _flip_sites, is_corner_maximal, path_corners
 
@@ -96,3 +96,30 @@ def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, i
     char = check_field(field)
     faces = _sorted_faces(cx)
     return _reduced_ranks(faces, _columns(faces, char), char)
+
+
+# ---------------------------------------------------------------------------
+# minimal vertex covers
+
+
+def branch_and_bound_covers(supports: list[int]) -> list[int]:
+    """All inclusion-minimal vertex covers (as masks) of a set of support masks.
+
+    Branch and bound over the first uncovered support; candidate covers are
+    pruned to the inclusion-minimal ones at the end.
+    """
+    supports = sorted(set(supports))
+    if not supports:
+        return [0]
+    found: set[int] = set()
+
+    def rec(chosen: int) -> None:
+        for s in supports:
+            if s & chosen == 0:
+                for v in iter_bits(s):
+                    rec(chosen | (1 << v))
+                return
+        found.add(chosen)
+
+    rec(0)
+    return sorted(minimal_masks(found))

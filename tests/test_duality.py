@@ -1,17 +1,26 @@
+import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from shellball.complexes import build_complex, mask_of, minimal_nonface_masks, vertices_of
+from shellball.complexes import (
+    SimplicialComplex,
+    build_complex,
+    mask_of,
+    minimal_nonface_masks,
+    vertices_of,
+)
 from shellball.duality import (
     alexander_dual,
     dual_matrix,
     minimal_vertex_covers,
     verify_dual_theorem,
 )
-from shellball.paths import MinorSpec, path_complex, sr_generators
+from shellball.paths import MinorSpec, enumerate_facets, path_complex, sr_generators
 from shellball.polarization import power_ideal_complex
+from tests.oracles import branch_and_bound_covers
+from tests.test_bounds import spy_lattices
 from tests.test_complexes import MINOR23
 
 
@@ -24,6 +33,11 @@ def test_dual_of_square_is_two_edges():
 def test_dual_full_simplex_errors():
     with pytest.raises(ValueError, match="zero ideal"):
         alexander_dual(build_complex([{0, 1, 2}], 3))
+
+
+def test_dual_of_void_is_full_simplex():
+    # the empty set is the void complex's one minimal nonface
+    assert alexander_dual(SimplicialComplex(3, [])) == SimplicialComplex(3, [0b111])
 
 
 def test_dual_generators_are_vertex_covers_minor23():
@@ -52,20 +66,63 @@ def test_dual_is_an_involution():
         assert alexander_dual(alexander_dual(cx)) == cx
 
 
+def universe_nonfaces(cx):
+    """Minimal nonfaces over the whole universe: an unused vertex is one."""
+    return minimal_nonface_masks(cx) + [1 << v for v in cx.unused_vertices]
+
+
 def test_generator_cover_duality():
     for cx in dual_instances():
-        dual = alexander_dual(cx)
-        gens = sorted(minimal_nonface_masks(dual, over_universe=True))
-        covers = sorted(
-            minimal_vertex_covers(minimal_nonface_masks(cx, over_universe=True))
-        )
-        assert gens == covers
+        gens = sorted(universe_nonfaces(alexander_dual(cx)))
+        assert gens == minimal_vertex_covers(universe_nonfaces(cx))
+
+
+def test_duality_builds_no_face_lattice(monkeypatch):
+    instances = list(dual_instances())
+    asked = spy_lattices(monkeypatch)
+    for cx in instances:
+        alexander_dual(cx)
+    assert verify_dual_theorem(4, 6).passed
+    assert asked == []
 
 
 def test_minimal_vertex_covers_simple():
     covers = minimal_vertex_covers([mask_of([0, 1]), mask_of([1, 2])])
     assert sorted(vertices_of(c) for c in covers) == [(0, 2), (1,)]
     assert minimal_vertex_covers([]) == [0]
+    assert minimal_vertex_covers([mask_of([0, 1]), 0]) == []
+
+
+def cover_families():
+    """The empty family, an empty support, then seeded random families on at
+    most 9 vertices, some with a duplicate or a nested support added."""
+    rng = random.Random(24)
+    yield []
+    yield [0]
+    yield [mask_of([0, 1]), 0, mask_of([2])]
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        family = [
+            mask_of(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.3:
+            family.append(rng.choice(family))
+        if rng.random() < 0.3:
+            family.append(rng.choice(family) | 1 << rng.randrange(n))
+        if rng.random() < 0.05:
+            family.append(0)
+        yield family
+
+
+def generator_masks(spec):
+    return [mask_of(map(spec.vertex_index, d)) for d in sr_generators(spec)]
+
+
+def test_minimal_vertex_covers_match_branch_and_bound():
+    shapes = [(m, n) for m in range(2, 8) for n in range(m, 8)]
+    maximal_minors = [generator_masks(MinorSpec.diagonal(m, n, m - 1)) for m, n in shapes]
+    for family in [*cover_families(), *maximal_minors]:
+        assert minimal_vertex_covers(family) == branch_and_bound_covers(family), family
 
 
 def _free(ymat):
@@ -117,6 +174,23 @@ def test_dual_theorem(m, n):
     verdict = verify_dual_theorem(m, n)
     assert verdict.passed, verdict.failures
     assert verdict.diagonal_count == comb(n, n - m + 1) == verdict.cover_count
+
+
+def test_dual_theorem_through_n_9():
+    for m in range(2, 10):
+        for n in range(m, 10):
+            verdict = verify_dual_theorem(m, n)
+            assert verdict.passed, verdict.failures
+            assert verdict.cover_count == verdict.diagonal_count == comb(n, m - 1)
+            if m > 6:
+                # enumerate_facets walks every dead-end partial path: about 1 s
+                # on 7x8 and 36 s on 8x9, and under 1 s for all shapes up to m = 6
+                continue
+            # the minimal covers of the minimal nonfaces are the facet complements
+            spec = MinorSpec.diagonal(m, n, m - 1)
+            full = (1 << m * n) - 1
+            complements = sorted(full ^ fam.mask for fam in enumerate_facets(spec))
+            assert minimal_vertex_covers(generator_masks(spec)) == complements, (m, n)
 
 
 def test_dual_theorem_verdict_json():

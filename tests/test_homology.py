@@ -136,9 +136,14 @@ def test_hochster_sphere23_shifts():
     assert shifts(tab) == ([2, 3, 6], [3, 4, 6])
 
 
-def test_hochster_cap():
-    with pytest.raises(ValueError, match="cap"):
-        hochster_betti_table(build_complex(MINOR23, 6), max_vertices=4)
+@pytest.mark.parametrize(
+    "cap, message",
+    [(4, "used-vertex count 6 exceeds cap 4"), (-1, "need max_vertices >= 0, got -1")],
+)
+def test_hochster_cap(cap, message):
+    # the same text as check_conjecture gives for a negative cap
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hochster_betti_table(build_complex(MINOR23, 6), max_vertices=cap)
 
 
 def test_gorenstein_duality_on_spheres():
