@@ -4,9 +4,10 @@ Each one restates a result of the paper in its most direct form: the flip
 move on one path, family flips against corner-maximality, the corner-maximal
 generators of the minimal inside faces, the prefix boundary test, reduced
 homology of a whole complex, face membership by lookup in the face lattice,
-and minimal vertex covers by branch and bound.  No pipeline stage, CLI command or demo calls them; the library
-computes the same objects from shelling certificates and Hochster walks, and
-the tests compare the two.  Keeping them here keeps `shellball` to the
+and minimal vertex covers by branch and bound.  No pipeline stage, CLI
+command or demo calls them; the library computes the same objects from
+shelling certificates, Hochster walks and Berge's transversal step, and the
+tests compare the two.  Keeping them here keeps `shellball` to the
 pipeline and the paper's objects, and keeps each oracle apart from the code
 it checks.
 """

@@ -24,7 +24,7 @@ from shellball.complexes import (
     vector_profile,
     vertices_of,
 )
-from shellball.duality import alexander_dual
+from shellball.duality import alexander_dual, minimal_vertex_covers
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
 
@@ -202,11 +202,12 @@ def test_minimal_nonfaces_match_seen_set_oracle():
     for cx in OUTSIDE_CASES:
         found = seen_set_minimal_outside(cx.faces_by_size(), cx.used_mask)
         assert minimal_nonface_masks(cx) == sorted(found, key=_canonical_key), cx
-        # over the whole universe each unused vertex is a singleton nonface
-        unused = [1 << v for v in cx.unused_vertices]
-        found += unused
-        got = minimal_nonface_masks(cx) + unused
-        assert sorted(got, key=_canonical_key) == sorted(found, key=_canonical_key)
+        if cx.facets:
+            # over the whole universe each unused vertex is a singleton
+            # nonface, and the nonfaces are the covers of the facet complements
+            full = (1 << cx.n) - 1
+            found += [1 << v for v in cx.unused_vertices]
+            assert minimal_vertex_covers([full ^ f for f in cx.facets]) == sorted(found), cx
 
 
 def test_alexander_dual_matches_seen_set_oracle():

@@ -139,6 +139,7 @@ def test_hochster_sphere23_shifts():
 @pytest.mark.parametrize(
     "cap, message",
     [(4, "used-vertex count 6 exceeds cap 4"), (-1, "need max_vertices >= 0, got -1")],
+    ids=["cap 4", "cap -1"],
 )
 def test_hochster_cap(cap, message):
     # the same text as check_conjecture gives for a negative cap
