@@ -5,15 +5,19 @@ so containment tests are single AND operations and face enumeration works
 on plain sets of ints.  Everything here is exact integer arithmetic: f- and
 h-vectors, boundary complexes, minimal nonfaces (their least size read off
 the f-vector), minimal inside faces and multiplicities.  No floats anywhere.
+The face lattice is built only where faces are read one by one; a complex
+whose facets have at least ``2^u`` subsets in all, ``u`` its used
+vertices, has its f-vector counted by bit operations on a ``2^u``-bit
+set instead (see `f_vector`).
 
 Conventions:
 
 * a complex is stored by its inclusion-maximal faces (facets);
 * the "empty complex" is the complex whose only face is the empty set,
   written as the single facet mask 0;
-* unused vertices (universe members on no facet) are tolerated and
-  reported, never silently dropped, so labeled grids keep stable
-  coordinates.
+* unused vertices (universe members on no facet) are tolerated and kept in
+  the universe ``n``, never silently dropped, so labeled grids keep stable
+  coordinates; f-vectors and minimal nonfaces count the used vertices only.
 """
 
 from __future__ import annotations
@@ -43,8 +47,18 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def _canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (mask.bit_count(), vertices_of(mask))
+_SWAP_01 = str.maketrans("01", "10")
+
+
+def _canonical_key(mask: int) -> tuple[int, str]:
+    """Sort key: size, then vertex tuples in lex order, for masks of any width.
+
+    The string lists the bits from vertex 0 up, with 0 and 1 swapped.  Of two
+    masks of one size, the first lies in the one holding the lowest vertex of
+    their symmetric difference, which is the position where the strings first
+    differ; neither string is a prefix of the other, as the sizes agree.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP_01))
 
 
 def minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -99,10 +113,6 @@ class SimplicialComplex:
     @property
     def used_vertices(self) -> tuple[int, ...]:
         return vertices_of(self.used_mask)
-
-    @property
-    def unused_vertices(self) -> tuple[int, ...]:
-        return vertices_of(~self.used_mask & ((1 << self.n) - 1))
 
     @property
     def dim(self) -> int:
@@ -172,12 +182,57 @@ def build_complex(
 
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
-    """Face counts by dimension, ``f[i]`` = number of i-dimensional faces."""
+    """Face counts by dimension, ``f[i]`` = number of i-dimensional faces.
+
+    Let ``u`` be the number of used vertices.  When the facets have at least
+    as many subsets in all as the vertex cube has positions, ``2^u <=
+    sum(2^|F|)``, the lattice could hold as many faces as the cube has
+    bits, and the faces are counted in the cube instead: a bitset of ``2^u``
+    bits (held as ints of up to ``2^16`` bits), bit ``g`` standing for the
+    subset ``g`` of the used vertices renumbered ``0..u-1``.  The facets'
+    bits are set, and then, for each vertex ``i``, every bit ``g`` with bit
+    ``i`` of ``g`` clear takes the bit ``g + 2^i``.  A subset of a facet
+    sheds the facet's other vertices one at a time, so exactly the faces
+    end up set, and ``f_{k-1}`` is the number of set bits whose position
+    has ``k`` ones.  All of it is integer bit arithmetic, so the counts are
+    exact.  Any other complex is counted off its face lattice, which stays
+    cached for later readers.
+    """
     if not cx.facets:
         return ()
-    levels = cx.faces_by_size()
     d = cx.dim + 1
-    return tuple(len(levels.get(k, ())) for k in range(1, d + 1))
+    used = vertices_of(cx.used_mask)
+    u = len(used)
+    if 1 << u > sum(1 << f.bit_count() for f in cx.facets):
+        levels = cx.faces_by_size()
+        return tuple(len(levels.get(k, ())) for k in range(1, d + 1))
+    place = {v: 1 << i for i, v in enumerate(used)}
+    c = min(u, 16)  # the cube is cut into chunks of 2^c positions, one int each
+    size = max((1 << c) >> 3, 1)  # bytes per chunk
+    bits = bytearray(size << (u - c))
+    for f in cx.facets:
+        g = sum(place[v] for v in iter_bits(f))
+        bits[g >> 3] |= 1 << (g & 7)
+    chunks = [int.from_bytes(bits[h : h + size], "little") for h in range(0, len(bits), size)]
+    for i in range(u - c):  # vertex c + i: chunk h takes chunk h + 2^i
+        for h in range(len(chunks)):
+            if not h >> i & 1:
+                chunks[h] |= chunks[h | 1 << i]
+    full = low = (1 << (1 << c)) - 1
+    shifts = []  # vertex i < c: (2^i, the positions below 2^c whose bit i is clear)
+    for i in reversed(range(c)):
+        low ^= (low << (1 << i)) & full
+        shifts.append((1 << i, low))
+    level = [1]  # level[k]: the positions below 2^c with k ones
+    for i in range(c):
+        level = [a | b << (1 << i) for a, b in zip(level + [0], [0] + level)]
+    counts = [0] * (u + 1)
+    for h, chunk in enumerate(chunks):
+        for s, clear in shifts:
+            chunk |= (chunk >> s) & clear
+        for k, positions in enumerate(level, h.bit_count()):
+            counts[k] += (chunk & positions).bit_count()
+    return tuple(counts[1 : d + 1])
 
 
 def h_vector(f: Sequence[int]) -> tuple[int, ...]:

@@ -138,20 +138,55 @@ class PathFamily:
 
 
 def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> list[PathFamily]:
-    """All families of disjoint paths, canonically ordered by vertex-index sets."""
+    """All families of disjoint paths, canonically ordered by vertex-index sets.
+
+    The most down-right route of each path but the first is found once,
+    innermost first, avoiding the routes found before it.  In every family a
+    path lies strictly above-left of the next path, hence of that path's
+    route and every later route.  So each path is walked only through points
+    that avoid the earlier paths and the later routes and that can still
+    reach its end, and no partial family is a dead end.
+    """
     if max_facets < 0:
         raise ValueError(f"need max_facets >= 0, got {max_facets}")
     m, n, r = spec.m, spec.n, spec.r
+    starts = [(a, n) for a in spec.rows]
+    ends = [(m, b) for b in spec.cols]
+
+    def reaching(blocked: set[Point], start: Point, end: Point) -> set[Point]:
+        """Points from `start`'s row down, off `blocked`, with a down-left walk off it to `end`."""
+        out: set[Point] = set()
+        for i in range(m, start[0] - 1, -1):
+            for j in range(end[1], n + 1):
+                if (i, j) not in blocked and (
+                    (i, j) == end or (i + 1, j) in out or (i, j - 1) in out
+                ):
+                    out.add((i, j))
+        return out
+
+    later: list[set[Point]] = [set()] * r  # later[k]: the routes of paths k+1..r-1
+    for k in range(r - 1, 0, -1):
+        ok = reaching(later[k], starts[k], ends[k])
+        pt = starts[k]
+        if pt not in ok:  # the hooks (a_k, n) -> (a_k, b_k) -> (m, b_k) form a family
+            raise ArithmeticError(f"path {k + 1} has no route clear of the later ones")
+        route = {pt}
+        while pt != ends[k]:
+            i, j = pt
+            pt = (i + 1, j) if (i + 1, j) in ok else (i, j - 1)
+            route.add(pt)
+        later[k - 1] = later[k] | route
     out: list[PathFamily] = []
     acc: list[tuple[Point, ...]] = []
 
-    def walk(idx: int, pt: Point, occupied: set[Point], current: list[Point]) -> None:
-        if pt in occupied:
-            return
+    def start(idx: int, taken: set[Point]) -> None:
+        ok = reaching(taken | later[idx], starts[idx], ends[idx])
+        if starts[idx] in ok:
+            walk(idx, starts[idx], ok, taken, [])
+
+    def walk(idx: int, pt: Point, ok: set[Point], taken: set[Point], current: list[Point]) -> None:
         current.append(pt)
-        occupied.add(pt)
-        target = (m, spec.cols[idx])
-        if pt == target:
+        if pt == ends[idx]:
             acc.append(tuple(current))
             if idx + 1 == r:
                 if len(out) >= max_facets:
@@ -160,18 +195,16 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
                     )
                 out.append(PathFamily(spec, tuple(acc)))
             else:
-                walk(idx + 1, (spec.rows[idx + 1], n), occupied, [])
+                start(idx + 1, taken | set(current))
             acc.pop()
         else:
             i, j = pt
-            if j > spec.cols[idx]:
-                walk(idx, (i, j - 1), occupied, current)
-            if i < m:
-                walk(idx, (i + 1, j), occupied, current)
-        occupied.discard(pt)
+            for step in ((i, j - 1), (i + 1, j)):
+                if step in ok:
+                    walk(idx, step, ok, taken, current)
         current.pop()
 
-    walk(0, (spec.rows[0], n), set(), [])
+    start(0, set())
     expected = spec.facet_size
     for fam in out:
         if len(fam) != expected:

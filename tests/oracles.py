@@ -4,19 +4,28 @@ Each one restates a result of the paper in its most direct form: the flip
 move on one path, family flips against corner-maximality, the corner-maximal
 generators of the minimal inside faces, the prefix boundary test, reduced
 homology of a whole complex, face membership by lookup in the face lattice,
-and minimal vertex covers by branch and bound.  No pipeline stage, CLI
-command or demo calls them; the library computes the same objects from
-shelling certificates, Hochster walks and Berge's transversal step, and the
-tests compare the two.  Keeping them here keeps `shellball` to the
+minimal vertex covers by branch and bound, the unused vertices of a
+complex, and the facet walk that follows every dead end.  No pipeline
+stage, CLI command or demo calls them; the library computes the same
+objects from shelling certificates, Hochster walks, Berge's transversal
+step and a walk that keeps room for the later paths, and the tests compare
+the two.  Keeping them here keeps `shellball` to the
 pipeline and the paper's objects, and keeps each oracle apart from the code
 it checks.
 """
 
 from __future__ import annotations
 
-from shellball.complexes import SimplicialComplex, iter_bits, minimal_masks
+from shellball.complexes import SimplicialComplex, iter_bits, minimal_masks, vertices_of
 from shellball.homology import _columns, _reduced_ranks, _sorted_faces, check_field
-from shellball.paths import PathFamily, Point, _flip_sites, is_corner_maximal, path_corners
+from shellball.paths import (
+    MinorSpec,
+    PathFamily,
+    Point,
+    _flip_sites,
+    is_corner_maximal,
+    path_corners,
+)
 
 
 def is_face(cx: SimplicialComplex, mask: int) -> bool:
@@ -124,3 +133,48 @@ def branch_and_bound_covers(supports: list[int]) -> list[int]:
 
     rec(0)
     return sorted(minimal_masks(found))
+
+
+# ---------------------------------------------------------------------------
+# faces and facets by exhaustive walks
+
+
+def unused_vertices(cx: SimplicialComplex) -> tuple[int, ...]:
+    """Universe members on no facet."""
+    return vertices_of(~cx.used_mask & ((1 << cx.n) - 1))
+
+
+def walk_all_facets(spec: MinorSpec) -> list[PathFamily]:
+    """All families of disjoint paths, by a walk that also follows every dead end.
+
+    Each path is walked left before down from its start, skipping only the
+    points of the paths before it, so a partial family that leaves the later
+    paths no room is found out only when they fail to reach their ends.
+    """
+    m, n, r = spec.m, spec.n, spec.r
+    out: list[PathFamily] = []
+    acc: list[tuple[Point, ...]] = []
+
+    def walk(idx: int, pt: Point, occupied: set[Point], current: list[Point]) -> None:
+        if pt in occupied:
+            return
+        current.append(pt)
+        occupied.add(pt)
+        if pt == (m, spec.cols[idx]):
+            acc.append(tuple(current))
+            if idx + 1 == r:
+                out.append(PathFamily(spec, tuple(acc)))
+            else:
+                walk(idx + 1, (spec.rows[idx + 1], n), occupied, [])
+            acc.pop()
+        else:
+            i, j = pt
+            if j > spec.cols[idx]:
+                walk(idx, (i, j - 1), occupied, current)
+            if i < m:
+                walk(idx, (i + 1, j), occupied, current)
+        occupied.discard(pt)
+        current.pop()
+
+    walk(0, (spec.rows[0], n), set(), [])
+    return sorted(out, key=lambda fam: fam.index_tuple)

@@ -17,7 +17,12 @@ from shellball.bounds import (
     linear_ball_boundary_h,
     shift_bound,
 )
-from shellball.complexes import SimplicialComplex, boundary_complex, build_complex
+from shellball.complexes import (
+    SimplicialComplex,
+    boundary_complex,
+    boundary_h_from_h,
+    build_complex,
+)
 from shellball.homology import BettiTable, hochster_betti_table
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
@@ -247,13 +252,27 @@ def test_check_never_builds_the_ball_face_lattice(monkeypatch, cx, order, shells
     asked = spy_lattices(monkeypatch)
     rep = check_conjecture(cx, order)
     assert rep.shelling_pass is shells
-    # only the boundary's lattice is built, whatever the order
-    assert asked and not any(c is cx for c in asked)
+    # whatever the order, only a Betti table builds a lattice: the boundary's
+    if rep.betti_table is None:
+        assert asked == []
+    else:
+        assert asked and all(c == boundary_complex(cx) for c in asked)
     if shells:
         assert rep.ball_pass and rep.verdict == "PASS"
     else:
         assert rep.verdict == "INAPPLICABLE" and rep.reasons[0].startswith("shelling failed")
         assert (rep.f, rep.h, rep.m, rep.L, rep.U, rep.m_in_range, rep.A1, rep.A2) == (None,) * 8
+
+
+def test_check_counts_a_dense_boundary_without_a_lattice(monkeypatch):
+    # the 20-vertex boundary of (4,5,2) is past the Betti cap, and f_vector
+    # counts its faces in the vertex cube
+    cx, order = path_complex(MinorSpec.diagonal(4, 5, 2))
+    asked = spy_lattices(monkeypatch)
+    rep = check_conjecture(cx, order)
+    assert rep.verdict == "PASS" and rep.betti_table is None
+    assert rep.boundary_h == boundary_h_from_h(rep.h) == (1, 7, 28, 44, *[50] * 6, 44, 28, 7, 1)
+    assert asked == []
 
 
 def spy_leaves(monkeypatch) -> list:

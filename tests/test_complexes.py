@@ -1,5 +1,10 @@
 import random
 import re
+from collections import Counter
+from functools import reduce
+from itertools import combinations
+from math import comb
+from operator import and_
 
 import pytest
 
@@ -27,6 +32,7 @@ from shellball.complexes import (
 from shellball.duality import alexander_dual, minimal_vertex_covers
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
+from tests.oracles import unused_vertices
 
 # the 2x3 maximal-minor complex, facets frozen from the three path families
 MINOR23 = [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
@@ -76,6 +82,18 @@ def test_canonical_order_is_size_then_lex():
     assert [vertices_of(f) for f in cx.facets] == [(0, 3), (1, 2), (2, 3, 4)]
 
 
+def test_canonical_key_matches_vertex_tuple_order():
+    # masks wider than 128 bits too: sr_generators passes whole grids
+    rng = random.Random(7)
+    masks = [0, 1, 1 << 300, (1 << 129) | 1, (1 << 300) - 1]
+    for _ in range(3000):
+        width = rng.randint(1, 300)
+        masks.append(rng.getrandbits(width))
+        masks.append(mask_of(rng.sample(range(width), min(width, rng.randint(1, 4)))))
+    old = sorted(masks, key=lambda m: (m.bit_count(), vertices_of(m)))
+    assert sorted(masks, key=_canonical_key) == old
+
+
 def test_f_vector_simplex_and_edges():
     assert f_vector(build_complex([{0, 1, 2}], 3)) == (3, 3, 1)
     assert f_vector(build_complex([{0, 1}, {2, 3}], 4)) == (4, 2)
@@ -89,6 +107,98 @@ def test_f_vector_matches_bruteforce_oracle():
     ]:
         cx = build_complex(facets, n)
         assert f_vector(cx) == brute_f_vector(cx)
+
+
+def takes_cube_route(cx):
+    """The rule `f_vector` counts by: 2^u <= sum(2^|F|) over the facets."""
+    return 1 << cx.used_mask.bit_count() <= sum(1 << f.bit_count() for f in cx.facets)
+
+
+def lattice_f_vector(cx):
+    levels = cx.faces_by_size()
+    return tuple(len(levels.get(k, ())) for k in range(1, max(levels, default=0) + 1))
+
+
+def f_vector_cases():
+    """The void and empty complexes, then random complexes with unused vertices."""
+    rng = random.Random(25)
+    cases = [SimplicialComplex(3, []), SimplicialComplex(0, [0]), SimplicialComplex(4, [0])]
+    for pure in (True, False):
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            used = rng.sample(range(n), rng.randint(1, n))
+            # a high floor leans to the cube route; a full facet would absorb the rest
+            low = rng.randint(1, len(used))
+            sizes = [low] if pure else range(low, max(low, len(used) - 1) + 1)
+            facets = [rng.sample(used, rng.choice(sizes)) for _ in range(rng.randint(1, 12))]
+            cases.append(build_complex(facets, n))
+    return cases
+
+
+def test_f_vector_cube_route_matches_lattice_and_brute_force():
+    kinds = Counter()
+    for cx in f_vector_cases() + OUTSIDE_CASES:
+        # f_vector first, so that it reads no lattice cached by the oracle
+        assert f_vector(cx) == lattice_f_vector(cx) == brute_f_vector(cx), cx
+        if len(cx.facets) > 1:
+            kinds[takes_cube_route(cx), cx.is_pure, bool(unused_vertices(cx))] += 1
+    # both routes, on pure and non-pure complexes, with and without unused vertices
+    assert len(kinds) == 8 and min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize(
+    "name, cube",
+    [
+        ("minor 4 5 2", True),
+        ("minor 3 6 2", True),
+        ("minor 4 6 1", False),
+        ("minor 4 5 1", False),
+        ("minor 3 6 1", False),
+        ("minor 3 4 1", False),
+        ("minor 3 4 2", True),
+        ("minor 3 5 1", False),
+        ("polar 3 3", True),
+        ("polar 4 3", True),
+        ("polar 5 2", False),
+    ],
+)
+def test_f_vector_routes_agree_on_workload_boundaries(name, cube):
+    # every ball that the benchmark's check workloads run
+    kind, *args = name.split()
+    args = map(int, args)
+    ball = path_complex(MinorSpec.diagonal(*args)) if kind == "minor" else power_ideal_complex(*args)
+    boundary = boundary_complex(ball[0])
+    assert takes_cube_route(boundary) is cube
+    got = f_vector(boundary)
+    # the cube route leaves no lattice behind; the other one caches it
+    assert (boundary._faces is None) is cube
+    assert got == lattice_f_vector(boundary)
+
+
+def union_f_vector(cx):
+    """Oracle: face counts by inclusion-exclusion over the facets' subsets."""
+    counts = [0] * (cx.dim + 2)
+    for r in range(1, len(cx.facets) + 1):
+        for group in combinations(cx.facets, r):
+            common = reduce(and_, group).bit_count()
+            for k in range(len(counts)):
+                counts[k] += (-1) ** (r + 1) * comb(common, k)
+    return tuple(counts[1:])
+
+
+def test_f_vector_cube_route_past_one_chunk():
+    # 17-20 used vertices: the cube spans 2-16 chunks of 2^16 positions.  Two
+    # facets missing one used vertex each put it on the cube route, and small
+    # facets through both missing vertices leave faces only one chunk holds.
+    rng = random.Random(3)
+    for u in (17, 18, 19, 20, 20):
+        used = rng.sample(range(u + 3), u)
+        a, b = used[:2]
+        facets = [set(used) - {a}, set(used) - {b}]
+        facets += [{a, b, *rng.sample(used[2:], rng.randint(0, 3))} for _ in range(3)]
+        cx = build_complex(facets, u + 3)
+        assert takes_cube_route(cx) and not cx.is_pure
+        assert f_vector(cx) == union_f_vector(cx)
 
 
 def test_h_vector_simplex():
@@ -206,14 +316,14 @@ def test_minimal_nonfaces_match_seen_set_oracle():
             # over the whole universe each unused vertex is a singleton
             # nonface, and the nonfaces are the covers of the facet complements
             full = (1 << cx.n) - 1
-            found += [1 << v for v in cx.unused_vertices]
+            found += [1 << v for v in unused_vertices(cx)]
             assert minimal_vertex_covers([full ^ f for f in cx.facets]) == sorted(found), cx
 
 
 def test_alexander_dual_matches_seen_set_oracle():
     for cx in OUTSIDE_CASES:
         found = seen_set_minimal_outside(cx.faces_by_size(), cx.used_mask)
-        found += [1 << v for v in cx.unused_vertices]
+        found += [1 << v for v in unused_vertices(cx)]
         if not cx.facets:
             # the void complex has no empty face, so the lattice walk finds no
             # nonface; but the empty set is not a face, so it is the one

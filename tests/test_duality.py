@@ -19,7 +19,7 @@ from shellball.duality import (
 )
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, sr_generators
 from shellball.polarization import power_ideal_complex
-from tests.oracles import branch_and_bound_covers
+from tests.oracles import branch_and_bound_covers, unused_vertices
 from tests.test_bounds import spy_lattices
 from tests.test_complexes import MINOR23
 
@@ -68,7 +68,7 @@ def test_dual_is_an_involution():
 
 def universe_nonfaces(cx):
     """Minimal nonfaces over the whole universe: an unused vertex is one."""
-    return minimal_nonface_masks(cx) + [1 << v for v in cx.unused_vertices]
+    return minimal_nonface_masks(cx) + [1 << v for v in unused_vertices(cx)]
 
 
 def test_generator_cover_duality():
@@ -182,10 +182,6 @@ def test_dual_theorem_through_n_9():
             verdict = verify_dual_theorem(m, n)
             assert verdict.passed, verdict.failures
             assert verdict.cover_count == verdict.diagonal_count == comb(n, m - 1)
-            if m > 6:
-                # enumerate_facets walks every dead-end partial path: about 1 s
-                # on 7x8 and 36 s on 8x9, and under 1 s for all shapes up to m = 6
-                continue
             # the minimal covers of the minimal nonfaces are the facet complements
             spec = MinorSpec.diagonal(m, n, m - 1)
             full = (1 << m * n) - 1

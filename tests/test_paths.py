@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -39,6 +40,7 @@ from tests.oracles import (
     canonical_generators,
     flip,
     is_face,
+    walk_all_facets,
 )
 
 FIGURE_CORNERS = {(2, 2), (3, 4), (4, 3), (4, 6), (5, 5), (6, 4)}
@@ -137,6 +139,21 @@ def test_facet_counts_match_lgv_oracle(m, n, r):
     fams = enumerate_facets(spec)
     assert len(fams) == lgv_count(spec)
     assert all(len(f) == spec.facet_size for f in fams)
+
+
+def test_enumerate_facets_matches_dead_end_walk():
+    # every minor of every m x n matrix with m <= 5, n <= 7 and m * n <= 30
+    shapes = 0
+    for m in range(1, 6):
+        for n in range(m, min(7, 30 // m) + 1):
+            for r in range(1, m + 1):
+                for rows in combinations(range(1, m + 1), r):
+                    for cols in combinations(range(1, n + 1), r):
+                        spec = MinorSpec(m, n, rows, cols)
+                        found = [fam.paths for fam in enumerate_facets(spec)]
+                        assert found == [fam.paths for fam in walk_all_facets(spec)], spec
+                        shapes += 1
+    assert shapes == 1892
 
 
 def test_facet_cap():
