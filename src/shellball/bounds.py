@@ -167,7 +167,9 @@ def check_conjecture(
     verdict to INAPPLICABLE with all computable data still reported.  So
     does a ridge in three or more facets (not a pseudomanifold): then the
     boundary and everything read off it (e, boundary h, Betti table, L, U,
-    A1, A2) stay null.
+    A1, A2) stay null.  A boundary that `f_vector` will not count (more
+    used vertices than its cube bound) leaves its h-vector and A2 null and
+    says so in the reasons.
     The ball's h (hence f, and m from f) is read off a passing shelling
     certificate and its minimal inside faces off a passing ball certificate;
     the ball's face lattice is never built, so an order that fails to shell
@@ -200,11 +202,16 @@ def check_conjecture(
         reasons.append("no boundary")
     elif boundary is not None:
         e = len(boundary.facets)
-        bh = cxmod.h_vector(cxmod.f_vector(boundary))
-        if sum(bh) != e:
-            raise ArithmeticError(
-                f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}"
-            )
+        try:
+            boundary_f = cxmod.f_vector(boundary)
+        except ValueError as exc:  # a dense boundary past the cube's vertex bound
+            reasons.append(f"boundary has {exc}")
+        else:
+            bh = cxmod.h_vector(boundary_f)
+            if sum(bh) != e:
+                raise ArithmeticError(
+                    f"boundary h-vector sum {sum(bh)} disagrees with facet count {e}"
+                )
 
         on_boundary = boundary.used_mask == ball.used_mask
         if not on_boundary:
@@ -221,9 +228,10 @@ def check_conjecture(
             A1 = (d - m in inside_dims) and not any(dd < m - 1 for dd in inside_dims)
             if not A1:
                 reasons.append(f"A1 fails: minimal inside-face dimensions {sorted(inside_dims)}")
-            A2 = vector_profile(bh).unimodal
-            if not A2:
-                reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
+            if bh is not None:
+                A2 = vector_profile(bh).unimodal
+                if not A2:
+                    reasons.append(f"A2 fails: boundary h-vector {bh} not unimodal")
         elif f is not None:
             reasons.append("m undefined (no nonfaces: full simplex)")
 

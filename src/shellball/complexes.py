@@ -27,6 +27,7 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 128
+CUBE_VERTEX_BOUND = 30  # a vertex cube of 2^30 bits takes 128 MiB
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -195,8 +196,10 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     sheds the facet's other vertices one at a time, so exactly the faces
     end up set, and ``f_{k-1}`` is the number of set bits whose position
     has ``k`` ones.  All of it is integer bit arithmetic, so the counts are
-    exact.  Any other complex is counted off its face lattice, which stays
-    cached for later readers.
+    exact.  The cube is taken only while ``u <= CUBE_VERTEX_BOUND``; past
+    that bound such a complex raises ``ValueError`` instead of allocating
+    ``2^u`` bits.  Any other complex is counted off its face lattice, which
+    stays cached for later readers.
     """
     if not cx.facets:
         return ()
@@ -206,6 +209,8 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     if 1 << u > sum(1 << f.bit_count() for f in cx.facets):
         levels = cx.faces_by_size()
         return tuple(len(levels.get(k, ())) for k in range(1, d + 1))
+    if u > CUBE_VERTEX_BOUND:
+        raise ValueError(f"{u} used vertices, past the count bound {CUBE_VERTEX_BOUND}")
     place = {v: 1 << i for i, v in enumerate(used)}
     c = min(u, 16)  # the cube is cut into chunks of 2^c positions, one int each
     size = max((1 << c) >> 3, 1)  # bytes per chunk

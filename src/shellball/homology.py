@@ -4,20 +4,31 @@ Betti numbers of a Stanley-Reisner quotient come from Hochster's formula:
 beta_{i,j} for i >= 1 is the sum over vertex subsets W of size j of the
 reduced homology rank of the induced subcomplex in dimension j-i-1, and
 beta_{0,0} = 1.  Homology ranks come from exact boundary-matrix ranks
-(fraction-free over Q, elimination over GF(p)) in every degree.  A face of
-an induced subcomplex has its whole boundary there, so each face's boundary
-column is built once per table, over fixed row indices, and every induced
-subcomplex ranks the subset of those columns that it holds.
+(fraction-free over Q, elimination over GF(p)).
 
 Only the unions of minimal nonfaces are summed (the support of the lcm
 lattice).  If some vertex x of W lies in no minimal nonface inside W, then
 adding x to a face of the induced subcomplex on W gives a face again, so
 that subcomplex is a cone over x and has no reduced homology.  One binary
-walk over the used vertices finds the remaining W: it filters the face
-list and the minimal nonfaces once per excluded vertex and cuts a subtree
-as soon as a chosen vertex lies in no minimal nonface avoiding the excluded
-ones.  A single row is `hochster_betti_table(...).row(i)`; past the default
-cap of 16 used vertices pass `max_vertices`.
+walk over the used vertices finds the remaining W: it filters the minimal
+nonfaces once per excluded vertex and cuts a subtree as soon as a chosen
+vertex lies in no minimal nonface avoiding the excluded ones.  The faces of
+size >= 2 are laid out once, by size and then mask, and the walk carries
+the faces still alive as one int of bits over that list: excluding a
+vertex is one AND with the bitset of the faces that avoid it.  At a leaf W
+the alive faces are exactly the faces inside W.
+
+A leaf takes its bottom ranks in closed form.  f_{-1} = 1, f_0 = |W|, and
+each larger f_k is a popcount of the alive bits in the range of size k+1.
+The map from vertices to the empty face has rank 1.  The map from edges to
+vertices is the oriented incidence matrix of the graph on W (an induced
+subcomplex holds every edge inside W), whose rank is |W| - c(W) over every
+field, c(W) its connected components; c(W) comes from a bitmask search.
+Only faces of size >= 3 are ranked by elimination.  A face's boundary column
+is built the first time a leaf reads it and kept for the table; the row of
+a face is its position within the range of its own size, so rows never
+change.  A single row is `hochster_betti_table(...).row(i)`; past
+the default cap of 16 used vertices pass `max_vertices`.
 
 A homology sphere of dimension D on the vertex set V (|V| = u) halves the
 walk by Alexander duality: for nonempty W != V, H~_q(Delta_W) is isomorphic
@@ -52,30 +63,6 @@ def check_field(char: int) -> int:
     return char
 
 
-def _columns(faces: list[int], char: int) -> dict[int, int | dict[int, int]]:
-    """Boundary column of every face in `faces` (a closed, sorted face list).
-
-    A face's row is its position among the faces of its own size, so the
-    rows stay fixed for every subcomplex ranked later.  Over GF(2) a column
-    is a bit mask; otherwise it is {row: +-1}, the sign alternating in
-    increasing vertex order.
-    """
-    row: dict[int, int] = {}
-    seen: Counter[int] = Counter()
-    for m in faces:
-        s = m.bit_count()
-        row[m] = seen[s]
-        seen[s] += 1
-    cols: dict[int, int | dict[int, int]] = {}
-    for m in faces:
-        rows = [row[m ^ (1 << v)] for v in iter_bits(m)]
-        if char == 2:
-            cols[m] = sum(1 << r for r in rows)
-        else:
-            cols[m] = {r: (-1) ** i for i, r in enumerate(rows)}
-    return cols
-
-
 def _rank(columns: list, char: int) -> int:
     if char == 2:
         return rank_gf2_columns(columns)
@@ -84,25 +71,93 @@ def _rank(columns: list, char: int) -> int:
     return rank_modp_columns(columns, char)
 
 
-def _reduced_ranks(faces: list[int], cols: dict, char: int) -> dict[int, int]:
-    """Reduced homology ranks in dimensions -1..dim of the complex `faces`.
-
-    `faces` is closed under taking subsets and `cols` holds their columns
-    (see `_columns`); in dimension k the rank is f_k - rank d_k - rank
-    d_{k+1}, where d_k maps the faces of size k+1 to those of size k.
-    """
-    groups: dict[int, list] = {}
-    for m in faces:
-        groups.setdefault(m.bit_count(), []).append(cols[m])
-    rank = {s: _rank(group, char) for s, group in groups.items()}
-    return {
-        k: len(groups.get(k + 1, ())) - rank.get(k + 1, 0) - rank.get(k + 2, 0)
-        for k in range(-1, max(groups, default=0))
-    }
+def _column(face: int, row: dict[int, int], char: int):
+    """Boundary column of `face`: over GF(2) a bit mask of rows, otherwise
+    {row: +-1} with the sign alternating in increasing vertex order.  A
+    face's row is its position among the faces of its own size."""
+    rows = [row[face ^ (1 << v)] for v in iter_bits(face)]
+    if char == 2:
+        return sum(1 << r for r in rows)
+    return {r: (-1) ** i for i, r in enumerate(rows)}
 
 
-def _sorted_faces(cx: SimplicialComplex) -> list[int]:
-    return sorted(m for masks in cx.faces_by_size().values() for m in masks)
+class _FaceBits:
+    """The faces of size >= 2 of one complex, by size and then mask; a set
+    of them is an int whose bit i stands for `faces[i]`.  `span[s]` holds the
+    faces of size s, `avoid[k]` those without the k-th used vertex, and
+    `adjacent` maps each vertex bit to its neighbours.  `cols[i]` is built on
+    first read."""
+
+    def __init__(self, cx: SimplicialComplex, char: int):
+        levels = cx.faces_by_size()
+        self.char = char
+        self.faces: list[int] = []
+        self.row: dict[int, int] = {}
+        self.span: dict[int, int] = {}
+        for s in range(2, max(levels, default=0) + 1):
+            level = sorted(levels[s])
+            self.row.update(zip(level, range(len(level))))
+            self.span[s] = ((1 << len(level)) - 1) << len(self.faces)
+            self.faces += level
+        # lay the faces' bytes end to end and read bit j of each byte as the
+        # digit "1" when it is clear; from the last face down, every width-th
+        # digit from byte v >> 3 on is then the bitset avoiding v in base 2
+        width = (cx.n + 7) >> 3
+        packed = b"".join(f.to_bytes(width, "little") for f in self.faces)
+        digits = [packed.translate(bytes(49 - (x >> j & 1) for x in range(256))) for j in range(8)]
+        self.avoid = [
+            int(digits[v & 7][v >> 3 :: width][::-1] or b"0", 2) for v in cx.used_vertices
+        ]
+        self.adjacent = {1 << v: 0 for v in cx.used_vertices}  # vertex bit -> neighbours
+        for f in levels.get(2, ()):
+            low = f & -f
+            self.adjacent[low] |= f ^ low
+            self.adjacent[f ^ low] |= low
+        self.cols: list = [None] * len(self.faces)
+
+    def components(self, w: int) -> int:
+        """Connected components of the graph induced on the vertex set `w`."""
+        count = 0
+        while w:
+            count += 1
+            reach = grow = w & -w
+            while grow:
+                near = 0
+                while grow:
+                    low = grow & -grow
+                    near |= self.adjacent[low]
+                    grow ^= low
+                grow = near & w & ~reach
+                reach |= grow
+            w &= ~reach
+        return count
+
+    def reduced_ranks(self, w: int, alive: int) -> dict[int, int]:
+        """Reduced homology ranks in dimensions 0..dim of the subcomplex
+        induced on the nonempty vertex set `w`, whose faces of size >= 2 are
+        `alive`.  In dimension k the rank is f_k - rank d_k - rank d_{k+1},
+        where d_k maps the faces of size k+1 to those of size k; d_0 and d_1
+        are ranked in closed form (see the module docstring)."""
+        f = {0: w.bit_count()}
+        rank = {0: 1, 1: f[0] - self.components(w)}
+        cols = self.cols
+        for s, span in self.span.items():
+            here = alive & span
+            if not here:
+                break
+            f[s - 1] = here.bit_count()
+            if s > 2:
+                group = []
+                while here:
+                    low = here & -here
+                    here ^= low
+                    i = low.bit_length() - 1
+                    col = cols[i]
+                    if col is None:
+                        col = cols[i] = _column(self.faces[i], self.row, self.char)
+                    group.append(col)
+                rank[s - 1] = _rank(group, self.char)
+        return {k: f[k] - rank[k] - rank.get(k + 1, 0) for k in f}
 
 
 # ---------------------------------------------------------------------------
@@ -145,48 +200,46 @@ def _hochster_entries(
 ) -> dict[tuple[int, int], int]:
     """Hochster sums over the nonempty unions W of minimal nonfaces.
 
-    `faces` and `nonfaces` in the walk are those avoiding every excluded
-    vertex; a subtree in which a chosen vertex lies in none of the nonfaces
-    holds only cones (see the module docstring) and is cut.  With `sphere`
-    only |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its
-    complement's entries, a leaf with 2|W| = u has its complement walked as
-    a leaf too, and W = V is the top class.  A cut W spans a cone, so its
-    complement is acyclic as well and owns no entry.
+    `alive` (a bitset over `_FaceBits.faces`) and `nonfaces` in the walk
+    hold the faces and minimal nonfaces avoiding every excluded vertex; a
+    subtree in which a chosen vertex lies in none of the nonfaces holds only
+    cones (see the module docstring) and is cut.  With `sphere` only
+    |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its complement's
+    entries, a leaf with 2|W| = u has its complement walked as a leaf too,
+    and W = V is the top class.  A cut W spans a cone, so its complement is
+    acyclic as well and owns no entry.
     """
     used = cx.used_vertices
     u = len(used)
     largest = u // 2 if sphere else u
     p = u - cx.dim - 1  # a sphere's projective dimension, home of its top class
-    faces = _sorted_faces(cx)
-    cols = _columns(faces, char)
+    faces = _FaceBits(cx, char)
     nonfaces = minimal_nonface_masks(cx)
     entries: Counter[tuple[int, int]] = Counter()
     if sphere:
         entries[(p, u)] = 1
 
-    def process(w_size: int, faces: list[int]) -> None:
-        for dim, rank in _reduced_ranks(faces, cols, char).items():
-            if rank:
-                i = w_size - 1 - dim
-                entries[(i, w_size)] += rank
-                if sphere and 2 * w_size < u:
-                    entries[(p - i, u - w_size)] += rank
-
-    def rec(k: int, faces: list[int], nonfaces: list[int], chosen: int) -> None:
+    def rec(k: int, alive: int, nonfaces: list[int], chosen: int) -> None:
         if k == u:
             if chosen:
-                process(chosen.bit_count(), faces)
+                w_size = chosen.bit_count()
+                for dim, rank in faces.reduced_ranks(chosen, alive).items():
+                    if rank:
+                        i = w_size - 1 - dim
+                        entries[(i, w_size)] += rank
+                        if sphere and 2 * w_size < u:
+                            entries[(p - i, u - w_size)] += rank
             return
         bit = 1 << used[k]
         rest = [m for m in nonfaces if not m & bit]
         # exclude only while the chosen vertices stay covered, choose only
         # when a remaining nonface passes through the vertex
         if chosen & ~reduce(or_, rest, 0) == 0:
-            rec(k + 1, [f for f in faces if not f & bit], rest, chosen)
+            rec(k + 1, alive & faces.avoid[k], rest, chosen)
         if len(rest) < len(nonfaces) and chosen.bit_count() < largest:
-            rec(k + 1, faces, nonfaces, chosen | bit)
+            rec(k + 1, alive, nonfaces, chosen | bit)
 
-    rec(0, faces, nonfaces, 0)
+    rec(0, (1 << len(faces.faces)) - 1, nonfaces, 0)
     return entries
 
 

@@ -17,7 +17,7 @@ it checks.
 from __future__ import annotations
 
 from shellball.complexes import SimplicialComplex, iter_bits, minimal_masks, vertices_of
-from shellball.homology import _columns, _reduced_ranks, _sorted_faces, check_field
+from shellball.homology import _rank, check_field
 from shellball.paths import (
     MinorSpec,
     PathFamily,
@@ -101,11 +101,29 @@ def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, i
     Every dimension in range is reported, zeros included.  The complex whose
     only face is the empty face has rank 1 in dimension -1; the void complex
     (no faces at all, e.g. the boundary of a sphere) has none, so it gives
-    {-1: 0}.
+    {-1: 0}.  Every face's boundary column is built, a face's row being its
+    position among the faces of its own size; in dimension k the rank is
+    f_k - rank d_k - rank d_{k+1}, where d_k maps the faces of size k+1 to
+    those of size k.  Over GF(2) a column is a bit mask, otherwise {row: +-1}
+    with the sign alternating in increasing vertex order.
     """
     char = check_field(field)
-    faces = _sorted_faces(cx)
-    return _reduced_ranks(faces, _columns(faces, char), char)
+    faces = sorted(m for masks in cx.faces_by_size().values() for m in masks)
+    row: dict[int, int] = {}
+    groups: dict[int, list] = {}
+    for m in faces:
+        group = groups.setdefault(m.bit_count(), [])
+        row[m] = len(group)
+        rows = [row[m ^ (1 << v)] for v in iter_bits(m)]
+        if char == 2:
+            group.append(sum(1 << r for r in rows))
+        else:
+            group.append({r: (-1) ** i for i, r in enumerate(rows)})
+    rank = {s: _rank(group, char) for s, group in groups.items()}
+    return {
+        k: len(groups.get(k + 1, ())) - rank.get(k + 1, 0) - rank.get(k + 2, 0)
+        for k in range(-1, max(groups, default=0))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from math import comb, factorial, prod
 
 import pytest
 
-from shellball import homology
 from shellball.bounds import (
     CSV_FIELDS,
     betti_bounds,
@@ -26,7 +25,8 @@ from shellball.complexes import (
 from shellball.homology import BettiTable, hochster_betti_table
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
-from tests.test_complexes import MINOR23, SPHERE23
+from tests.test_complexes import MINOR23, SPHERE23, spy_bytearrays
+from tests.test_homology import spy_leaves
 
 
 def test_closed_form_bounds_2x3():
@@ -275,17 +275,18 @@ def test_check_counts_a_dense_boundary_without_a_lattice(monkeypatch):
     assert asked == []
 
 
-def spy_leaves(monkeypatch) -> list:
-    """Record every induced subcomplex that the Hochster walk ranks."""
-    leaves = []
-    original = homology._reduced_ranks
-
-    def reduced_ranks(faces, cols, char):
-        leaves.append(len(faces))
-        return original(faces, cols, char)
-
-    monkeypatch.setattr(homology, "_reduced_ranks", reduced_ranks)
-    return leaves
+def test_check_stops_at_the_cube_vertex_bound(monkeypatch):
+    # the 35-vertex boundary of (5,7,3) would take a cube of 2^35 bits
+    cx, order = path_complex(MinorSpec.diagonal(5, 7, 3))
+    order = list(order)
+    random.Random(0).shuffle(order)
+    made = spy_bytearrays(monkeypatch)
+    rep = check_conjecture(cx, order)
+    assert made == []
+    assert not rep.shelling_pass and rep.verdict == "INAPPLICABLE"
+    assert rep.e == len(boundary_complex(cx).facets) and rep.boundary_h is None
+    assert rep.betti_table is None and rep.A2 is None
+    assert rep.reasons[-1] == "boundary has 35 used vertices, past the count bound 30"
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,14 @@ def test_check_polar_inapplicable_exit_3(capsys):
     assert json.loads(stdout)["verdict"] == "INAPPLICABLE"
 
 
+def test_check_past_the_cube_vertex_bound_exit_3(capsys):
+    code, stdout, stderr = run(capsys, "check", "minor", "m=5", "n=7", "r=3")
+    assert code == 3 and stderr == ""
+    rep = json.loads(stdout)
+    assert rep["ball_pass"] and rep["boundary_h"] is None and rep["verdict"] == "INAPPLICABLE"
+    assert rep["reasons"] == ["boundary has 35 used vertices, past the count bound 30"]
+
+
 def test_check_sphere_file(tmp_path, capsys):
     path = tmp_path / "sphere.cx"
     write_complex(path, SPHERE23)

@@ -9,6 +9,7 @@ from operator import and_
 import pytest
 
 from shellball.complexes import (
+    CUBE_VERTEX_BOUND,
     SimplicialComplex,
     _canonical_key,
     _minimal_outside,
@@ -199,6 +200,34 @@ def test_f_vector_cube_route_past_one_chunk():
         cx = build_complex(facets, u + 3)
         assert takes_cube_route(cx) and not cx.is_pure
         assert f_vector(cx) == union_f_vector(cx)
+
+
+def spy_bytearrays(monkeypatch) -> list:
+    """Record the size of every bytearray that `complexes` allocates (the vertex cube)."""
+    made = []
+
+    def spy(size):
+        made.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr("shellball.complexes.bytearray", spy, raising=False)
+    return made
+
+
+def test_f_vector_takes_no_cube_past_the_vertex_bound(monkeypatch):
+    made = spy_bytearrays(monkeypatch)
+    u = CUBE_VERTEX_BOUND + 1
+    simplex = SimplicialComplex(u, [(1 << u) - 1])
+    assert takes_cube_route(simplex)
+    with pytest.raises(ValueError, match=f"^{u} used vertices, past the count bound 30$"):
+        f_vector(simplex)
+    # a sparse complex past the bound is counted off its lattice
+    cycle = build_complex([{v, (v + 1) % 40} for v in range(40)], 40)
+    assert f_vector(cycle) == (40, 40)
+    assert made == []
+    simplex = SimplicialComplex(16, [(1 << 16) - 1])
+    assert f_vector(simplex) == tuple(comb(16, k) for k in range(1, 17))
+    assert made == [1 << 13]  # one chunk of 2^16 bits
 
 
 def test_h_vector_simplex():

@@ -1,6 +1,7 @@
 import functools
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb, isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from shellball.complexes import (
     build_complex,
     f_from_h,
     iter_bits,
+    mask_of,
     minimal_nonfaces,
     smallest_nonface_size,
 )
@@ -19,7 +21,6 @@ from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_co
 from shellball.homology import (
     BettiTable,
     _betti_from_entries,
-    _reduced_ranks,
     canonical_generator_degrees,
     has_linear_resolution,
     hochster_betti_table,
@@ -242,7 +243,7 @@ def test_betti_json():
 # Oracle for the homology ranks: each complex's boundary matrices are built
 # from its own faces with local row indices, components come from a
 # union-find, and the dimensions -1, 0 and top are cased separately.  It
-# shares nothing with the library's columns built once per face list.
+# shares nothing with the library's face bitsets and the columns they build.
 
 
 def boundary_rank(lower, upper, char):
@@ -384,14 +385,21 @@ def test_pruned_table_matches_unpruned_walk_random(cx):
         assert hochster_betti_table(cx, field=field).entries == want.entries
 
 
+def spy_leaves(monkeypatch) -> list:
+    """Record the vertex set of every induced subcomplex that the Hochster walk ranks."""
+    leaves = []
+    original = homology._FaceBits.reduced_ranks
+
+    def reduced_ranks(self, w, alive):
+        leaves.append(w)
+        return original(self, w, alive)
+
+    monkeypatch.setattr(homology._FaceBits, "reduced_ranks", reduced_ranks)
+    return leaves
+
+
 def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
-    calls = []
-
-    def counting(faces, cols, char):
-        calls.append(len(faces))
-        return _reduced_ranks(faces, cols, char)
-
-    monkeypatch.setattr(homology, "_reduced_ranks", counting)
+    calls = spy_leaves(monkeypatch)
     bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
     assert len(bd.used_vertices) == 12
     table = hochster_betti_table(bd, field=2)
@@ -400,6 +408,59 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     calls.clear()
     hochster_betti_table(bd, field=2, sphere=True)  # the walk stops at |W| = 6
     assert len(calls) == 10
+
+
+def test_graph_rank_is_vertices_minus_components():
+    # the leaves take rank d_1 as |W| - c(W); check it against the rank of the
+    # explicit incidence matrix over Q, GF(2) and GF(3)
+    rng = random.Random(26)
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        density = rng.choice([0.2, 0.5, 0.8])
+        # with a cut, no edge joins the vertices below it to those above
+        cut = rng.choice([0, rng.randint(1, n)])
+        edges = [
+            (a, b)
+            for a, b in combinations(range(n), 2)
+            if (a < cut) == (b < cut) and rng.random() < density
+        ]
+        cx = build_complex(edges + [{v} for v in range(n)], n)
+        w = rng.choice([(1 << n) - 1, rng.randint(1, (1 << n) - 1)])
+        vertices = [1 << v for v in iter_bits(w)]
+        inside = [m for m in map(mask_of, edges) if m & ~w == 0]
+        c = homology._FaceBits(cx, 0).components(w)
+        assert c == component_count(vertices, inside)
+        for char in (0, 2, 3):
+            assert boundary_rank(vertices, inside, char) == len(vertices) - c, (edges, w)
+        isolated = any(not any(m & v for m in inside) for v in vertices)
+        kinds[c > 1, isolated] += 1
+    # connected and disconnected graphs, with and without isolated vertices
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+
+
+def test_columns_are_built_only_for_faces_the_leaves_read(monkeypatch):
+    built = []
+    original = homology._column
+
+    def column(face, *args):
+        built.append(face)
+        return original(face, *args)
+
+    monkeypatch.setattr(homology, "_column", column)
+    leaves = spy_leaves(monkeypatch)
+    bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
+    faces = [f for size, masks in bd.faces_by_size().items() if size >= 2 for f in masks]
+    assert len(faces) == 2786
+    for sphere in (False, True):
+        built.clear()
+        leaves.clear()
+        hochster_betti_table(bd, sphere=sphere)
+        # edges are ranked in closed form; every larger face inside a leaf is read
+        read = {f for f in faces if f.bit_count() >= 3 and any(f & ~w == 0 for w in leaves)}
+        assert sorted(built) == sorted(read)
+    # the full walk reads W = V; the duality walk stops at |W| = 6
+    assert len(built) < len(faces) // 10, len(built)
 
 
 def _certified_balls(lo: int, hi: int):

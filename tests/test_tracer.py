@@ -3,9 +3,15 @@
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from shellball import homology
+from shellball.bounds import check_conjecture
 from shellball.complexes import SimplicialComplex
+from shellball.paths import MinorSpec, path_complex
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +46,25 @@ def test_counted_arguments_keep_their_names():
         param = next(iter(inspect.signature(fn).parameters.values()))
         assert param.name == first, f"{layer}.{name}"
         assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, f"{layer}.{name}"
+
+
+@pytest.mark.parametrize(
+    "field, used, unused",
+    [(2, "rank_gf2_columns", "rank_int_columns"), (0, "rank_int_columns", "rank_gf2_columns")],
+)
+def test_betti_tables_call_the_field_rank_through_homology(monkeypatch, field, used, unused):
+    # the traced betti-boundaries run tells an instance's field by which rank
+    # routine ran, wrapped where `homology` looks it up; a table that ranked
+    # nothing there, or took the other routine, would fail that run
+    calls = Counter()
+    for name in (used, unused):
+        original = getattr(homology, name)
+
+        def spy(columns, name=name, original=original):
+            calls[name] += 1
+            return original(columns)
+
+        monkeypatch.setattr(homology, name, spy)
+    rep = check_conjecture(*path_complex(MinorSpec.diagonal(3, 4, 2)), field_char=field)
+    assert rep.betti_table is not None
+    assert calls[used] >= 1 and calls[unused] == 0, calls
