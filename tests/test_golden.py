@@ -177,6 +177,10 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         "generate minor m=2 n=3 r=1",
         "generate minor m=3 n=4 sigma=1,3|2,4 --out delta.cx",
         "generate polar n=2 t=2",
+        # minors with incomparable facet pairs: these pin the deterministic order
+        "generate minor m=3 n=4 r=1",
+        "generate minor m=4 n=5 r=2",
+        "generate minor m=4 n=5 sigma=1,3|2,4",
         *(f"dual m={m} n={n}" for m in range(2, 7) for n in range(m, 7)),
         "dual m=4 n=8",
         "dual m=3 n=9",
