@@ -7,9 +7,26 @@ by unit steps that increase the row or decrease the column.
 
 Facets are ordered entrywise by row profile (per path and row, the path's
 smallest column there); the linear extensions of that order are shellings.
-The relation is built without comparing facet pairs: for each profile entry
-and value, one bitset holds the facets whose entry is at least that value,
-and the facets above a facet are the AND of one bitset per entry.
+The canonical order, by sorted vertex indices, is one of them:
+
+Lemma.  If f <= g entrywise on profiles and f != g, then f's sorted vertex
+indices are lexicographically smaller than g's.
+
+Proof.  Path k starts in row a_k, and its points in row x are the columns
+[p_k(x), p_k(x-1)], where p_k(x) is its profile entry for row x and
+p_k(a_k - 1) = n.  Take the first row x0 where some p_k differs; the rows
+above x0 are identical.  In row x0 each segment of f has the same right end
+as g's and reaches at least as far left, and one reaches strictly further.
+So f's column set in row x0 strictly contains g's.  Vertex indices are
+row-major, so the sorted lists agree up to the smallest column c of row x0
+that g lacks, where f has (x0, c) and g a larger index.
+
+So `shelling_order` is a sort, and `path_complex`, whose complex stores its
+facets in that order, returns the order 0..t-1.  The relation itself serves
+only `random_shelling_orders`.  It is built without comparing facet pairs:
+for each profile entry and value, one bitset holds the facets whose entry is
+at least that value, and the facets above a facet are the AND of one bitset
+per entry.
 
 A *corner* of a path is a point whose upper and left neighbours both lie on
 the same path.  Here corners give the corner-count h-vector, the flip sites
@@ -99,10 +116,7 @@ class PathFamily:
 
     @cached_property
     def corners(self) -> frozenset[Point]:
-        out: set[Point] = set()
-        for path in self.paths:
-            out |= path_corners(path)
-        return frozenset(out)
+        return frozenset().union(*map(path_corners, self.paths))
 
     @cached_property
     def profile(self) -> tuple[int, ...]:
@@ -112,6 +126,8 @@ class PathFamily:
         leftmost point in all rows <= x: f1 <= f2 iff f1.profile <= f2.profile
         entry by entry.  Row x of a path runs from the entry of row x-1 (or n)
         to the entry of row x, so distinct facets have distinct profiles.
+        Only `_successors` reads it; the canonical order extends this order
+        (module docstring), so the deterministic shelling does not need it.
         """
         out: list[int] = []
         for path in self.paths:
@@ -295,9 +311,19 @@ def _extension(succ: list[list[int]], pick) -> list[int]:
 
 
 def shelling_order(facets: list[PathFamily]) -> list[PathFamily]:
-    """Deterministic linear extension of the facet order (lexicographic tie-break)."""
-    order = _extension(_successors(facets), lambda ready: ready[0])
-    return [facets[i] for i in order]
+    """The facets in canonical order, by sorted vertex indices.
+
+    By the module's lemma this is a linear extension of the facet order,
+    hence a shelling; `enumerate_facets` already returns it.  Facets of
+    different minors and a repeated facet raise `ValueError`.
+    """
+    if any(f.spec != facets[0].spec for f in facets[1:]):
+        raise ValueError("mismatched specs")
+    out = sorted(facets, key=lambda fam: fam.index_tuple)
+    for f, g in zip(out, out[1:]):
+        if f.index_tuple == g.index_tuple:
+            raise ValueError(f"repeated facet {list(f.index_tuple)}")
+    return out
 
 
 def random_shelling_orders(
@@ -376,15 +402,16 @@ def sr_generators(spec: MinorSpec) -> list[tuple[Point, ...]]:
 def path_complex(
     spec: MinorSpec, facets: list[PathFamily] | None = None
 ) -> tuple[SimplicialComplex, list[int]]:
-    """The simplicial complex of a minor plus a shelling order (facet indices)."""
+    """The simplicial complex of a minor plus a shelling order (facet indices).
+
+    The complex stores its facets in `shelling_order`'s canonical order, so
+    the shelling is 0..t-1 whatever the order of ``facets``.
+    """
     if facets is None:
         facets = enumerate_facets(spec)
-    cx = SimplicialComplex(
-        spec.m * spec.n, [fam.mask for fam in facets], labels=spec.grid_labels()
-    )
-    pos = {mask: k for k, mask in enumerate(cx.facets)}
-    order = [pos[fam.mask] for fam in shelling_order(facets)]
-    return cx, order
+    masks = [fam.mask for fam in shelling_order(facets)]
+    cx = SimplicialComplex(spec.m * spec.n, masks, labels=spec.grid_labels())
+    return cx, list(range(len(cx.facets)))
 
 
 def render_ascii(family: PathFamily) -> str:

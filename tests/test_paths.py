@@ -6,9 +6,11 @@ from math import comb
 
 import pytest
 
+from shellball import paths
 from shellball.cli import main
 from shellball.complexes import (
     boundary_complex,
+    boundary_h_from_h,
     f_vector,
     h_vector,
     minimal_inside_faces,
@@ -432,6 +434,86 @@ def test_orders_match_counter_sort_oracle(spec):
         assert random_shelling_orders(fams, 3, seed) == expected
 
 
+# The lemma of the `paths` docstring: the canonical order extends the facet
+# order, so `shelling_order` is a sort and the pipeline builds no relation.
+
+
+def every_minor(m_max: int, n_max: int):
+    """Every minor [rows | cols] of every m x n matrix with m <= m_max and m <= n <= n_max."""
+    for m in range(1, m_max + 1):
+        for n in range(m, n_max + 1):
+            for r in range(1, m + 1):
+                for rows in combinations(range(1, m + 1), r):
+                    for cols in combinations(range(1, n + 1), r):
+                        yield MinorSpec(m, n, rows, cols)
+
+
+MINORS_4_5 = list(every_minor(4, 5))
+
+
+def test_canonical_order_extends_the_facet_order():
+    assert len(MINORS_4_5) == 365
+    for spec in MINORS_4_5:
+        succ = _successors(enumerate_facets(spec))
+        assert all(k > j for j, ks in enumerate(succ) for k in ks), spec_id(spec)
+
+
+@pytest.mark.parametrize("m,n,r", SMALL_SPECS)
+def test_shelling_order_sorts_any_facet_list(m, n, r):
+    spec = MinorSpec.diagonal(m, n, r)
+    canonical = enumerate_facets(spec)
+    kahn = counter_sort_extension(_successors(canonical), lambda ready: ready[0])
+    cx, order = path_complex(spec, canonical)
+    assert order == list(range(len(canonical)))
+    for seed in range(3):
+        shuffled = canonical[:]
+        random.Random(seed).shuffle(shuffled)
+        assert shelling_order(shuffled) == [canonical[i] for i in kahn]
+        got_cx, got_order = path_complex(spec, shuffled)
+        assert (got_cx.n, got_cx.facets, got_cx.labels) == (cx.n, cx.facets, cx.labels)
+        assert got_order == order
+
+
+def spy_order_relation(monkeypatch) -> Counter:
+    """Count the calls of `paths._successors` and `paths._extension`."""
+    calls: Counter = Counter()
+    for name in ("_successors", "_extension"):
+
+        def wrapped(*args, name=name, original=getattr(paths, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(paths, name, wrapped)
+    return calls
+
+
+def test_pipeline_builds_no_facet_order(monkeypatch, tmp_path):
+    calls = spy_order_relation(monkeypatch)
+    assert main(["check", "minor", "m=4", "n=5", "r=2"]) == 0
+    out = str(tmp_path / "ball.cx")
+    assert main(["generate", "minor", "m=4", "n=5", "r=2", "--out", out]) == 0
+    assert calls == Counter()
+    # the seeded extensions still walk the relation, built once for all of them
+    fams = enumerate_facets(MinorSpec.diagonal(4, 5, 2))
+    assert len(random_shelling_orders(fams, 3, seed=0)) == 3
+    assert calls == {"_successors": 1, "_extension": 3}
+
+
+def test_minor_ball_boundaries_shell_in_canonical_order():
+    # the boundary sphere of every certified minor ball shells in the order
+    # its complex stores, and that shelling gives the ball's boundary h-vector;
+    # polar boundaries are left out, as their canonical order does not shell
+    for spec in MINORS_4_5:
+        cx, order = path_complex(spec)
+        cert = verify_ball(cx, order)
+        assert cert.ok, spec_id(spec)
+        bd = boundary_complex(cx)
+        shell = verify_shelling(bd, list(range(len(bd.facets))))
+        assert shell.ok, spec_id(spec)
+        h = certified_h(cx, cert.shelling)
+        assert certified_h(bd, shell) == boundary_h_from_h(h), spec_id(spec)
+
+
 def spy(pick):
     """`pick` that records each `ready` it sees and asserts that it is sorted."""
     seen: list[list[int]] = []
@@ -485,10 +567,12 @@ def test_no_facets_have_an_empty_order():
     assert random_shelling_orders([], 2, seed=0) == [[], []]
 
 
-def test_repeated_facet_is_a_cycle():
+def test_repeated_facet_is_refused():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
-    with pytest.raises(ValueError, match="cycle detected"):
+    with pytest.raises(ValueError, match=r"^repeated facet \[0, 1, 2, 3\]$"):
         shelling_order(fams + fams[:1])
+    with pytest.raises(ValueError, match=r"^repeated facet \[0, 1, 2, 3\]$"):
+        path_complex(fams[0].spec, fams[:1] + fams)
 
 
 def test_mixed_specs_are_refused():
