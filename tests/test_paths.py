@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -156,6 +158,40 @@ def test_enumerate_facets_matches_dead_end_walk():
                         assert found == [fam.paths for fam in walk_all_facets(spec)], spec
                         shapes += 1
     assert shapes == 1892
+
+
+@pytest.mark.parametrize(
+    "spec, count, digest",
+    [
+        (
+            MinorSpec.diagonal(6, 7, 3),
+            4116,
+            "c36a1bf5c5b3da6284511fdc4b1cde214161bbb2f6a80aa83f9fd31dfffd2234",
+        ),
+        (
+            MinorSpec.diagonal(8, 9, 7),
+            36,
+            "a3bb6c6ab679026530733a488a27b7febbb27e1b08ef8a808eb3328e1179f875",
+        ),
+        (
+            MinorSpec(6, 7, (1, 3, 4), (2, 3, 6)),
+            1386,
+            "0112c1012942102322c1da6b6ca5a2545f6b10f85d239f63ab8d3d98fb7d44d6",
+        ),
+        (
+            MinorSpec(6, 8, (2, 5), (1, 4)),
+            1090,
+            "2b94b1520ccc20159fa332ae4e8366fd2776f47344d48efd7ef2df45798c42d8",
+        ),
+    ],
+    ids=["6x7-r3", "8x9-r7", "6x7-134_236", "6x8-25_14"],
+)
+def test_enumerate_facets_pinned_beyond_the_walk(spec, count, digest):
+    # shapes past the dead-end walk's reach: the paths, in order, are pinned
+    # by the sha256 of their compact JSON
+    found = [fam.paths for fam in enumerate_facets(spec)]
+    text = json.dumps(found, separators=(",", ":"))
+    assert (len(found), hashlib.sha256(text.encode("utf-8")).hexdigest()) == (count, digest)
 
 
 def test_facet_cap():
