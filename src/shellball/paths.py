@@ -2,24 +2,47 @@
 
 The complex attached to a minor [a_1..a_r | b_1..b_r] of an m x n generic
 matrix has vertex set the grid points (i,j) and facets the families of r
-pairwise disjoint monotone paths, path i running from (a_i, n) to (m, b_i)
+pairwise disjoint monotone paths, path k running from (a_k, n) to (m, b_k)
 by unit steps that increase the row or decrease the column.
 
-Facets are ordered entrywise by row profile (per path and row, the path's
-smallest column there); the linear extensions of that order are shellings.
-The canonical order, by sorted vertex indices, is one of them:
+Profiles.  Let L_k(x) be path k's smallest column in row x, for
+a_k <= x <= m, and put L_k(a_k - 1) = n.  Path k's points in row x are the
+columns L_k(x)..L_k(x-1), so a family is exactly an integer array with
+L_k(m) = b_k, L_k(x) <= L_k(x-1), and L_{k-1}(x-1) < L_k(x) for
+a_k <= x <= m (path k-1 stays left of path k).  `PathFamily.profile` lists
+the entries path by path.
+
+Room lemma.  Paths 1..k of such an array extend to a whole family iff,
+for each s >= 0 with k+s <= r, L_k(x) <= n - s whenever x >= a_{k+s} - s,
+and L_k(x) <= b_{k+s} - s whenever x >= m - s.  (s = 0 says L_k <= n and
+L_k(m) <= b_k.)
+
+Proof.  Only if: separation and monotonicity give L_{k+s}(x+s) >= L_k(x) + s
+in any completion whenever a_{k+s} <= x+s <= m, by induction on s.  With
+L_{k+s} <= n, L_{k+s}(m) = b_{k+s} and L_k non-increasing this gives both
+bounds.  If: L_{k+s}(y) = max(L_k(y-s) + s, b_{k+s}) for s >= 1 is a
+completion; the bounds keep it at most n and make it end at b_{k+s}, and
+b_{k+s-1} < b_{k+s} separates it from path k+s-1.
+
+So `enumerate_facets` walks path k row by row and takes L_k(x) from
+min(bound, L_k(x-1)) down to max(b_k, L_{k-1}(x-1) + 1), and every value
+in that range extends: path k goes on with L_k(y) = max(b_k,
+L_{k-1}(y-1) + 1), which path k-1's bound for s+1 keeps within path k's
+bound for s.  That range is never empty, so the walk meets no dead end.
+
+Facets are ordered entrywise by profile; the linear extensions of that
+order are shellings.  The canonical order, by sorted vertex indices, is one
+of them:
 
 Lemma.  If f <= g entrywise on profiles and f != g, then f's sorted vertex
 indices are lexicographically smaller than g's.
 
-Proof.  Path k starts in row a_k, and its points in row x are the columns
-[p_k(x), p_k(x-1)], where p_k(x) is its profile entry for row x and
-p_k(a_k - 1) = n.  Take the first row x0 where some p_k differs; the rows
-above x0 are identical.  In row x0 each segment of f has the same right end
-as g's and reaches at least as far left, and one reaches strictly further.
-So f's column set in row x0 strictly contains g's.  Vertex indices are
-row-major, so the sorted lists agree up to the smallest column c of row x0
-that g lacks, where f has (x0, c) and g a larger index.
+Proof.  Take the first row x0 where some L_k differs; the rows above x0
+are identical.  In row x0 each segment L_k(x0)..L_k(x0-1) of f has the same
+right end as g's and reaches at least as far left, and one reaches strictly
+further.  So f's column set in row x0 strictly contains g's.  Vertex
+indices are row-major, so the sorted lists agree up to the smallest column
+c of row x0 that g lacks, where f has (x0, c) and g a larger index.
 
 So `shelling_order` is a sort, and `path_complex`, whose complex stores its
 facets in that order, returns the order 0..t-1.  The relation itself serves
@@ -42,7 +65,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .complexes import SimplicialComplex, iter_bits, mask_of, minimal_masks, vertices_of
 
@@ -153,74 +176,58 @@ class PathFamily:
 # enumeration
 
 
+def _room(spec: MinorSpec, k: int, x: int) -> int:
+    """The largest column that path k's profile may take in row x (room lemma)."""
+    bound = spec.n
+    for s, (a, b) in enumerate(zip(spec.rows[k:], spec.cols[k:])):
+        if x >= a - s:
+            bound = min(bound, spec.n - s)
+        if x >= spec.m - s:
+            bound = min(bound, b - s)
+    return bound
+
+
 def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> list[PathFamily]:
     """All families of disjoint paths, canonically ordered by vertex-index sets.
 
-    The most down-right route of each path but the first is found once,
-    innermost first, avoiding the routes found before it.  In every family a
-    path lies strictly above-left of the next path, hence of that path's
-    route and every later route.  So each path is walked only through points
-    that avoid the earlier paths and the later routes and that can still
-    reach its end, and no partial family is a dead end.
+    Each path is walked row by row on its profile, and row x of path k takes
+    every column from ``min(_room(spec, k, x), L_k(x-1))`` down to
+    ``max(b_k, L_{k-1}(x-1) + 1)``.  By the room lemma (module docstring)
+    every such value extends to a family, so the walk meets no dead end, and
+    an empty range is a broken invariant (`ArithmeticError`).
     """
     if max_facets < 0:
         raise ValueError(f"need max_facets >= 0, got {max_facets}")
     m, n, r = spec.m, spec.n, spec.r
-    starts = [(a, n) for a in spec.rows]
-    ends = [(m, b) for b in spec.cols]
-
-    def reaching(blocked: set[Point], start: Point, end: Point) -> set[Point]:
-        """Points from `start`'s row down, off `blocked`, with a down-left walk off it to `end`."""
-        out: set[Point] = set()
-        for i in range(m, start[0] - 1, -1):
-            for j in range(end[1], n + 1):
-                if (i, j) not in blocked and (
-                    (i, j) == end or (i + 1, j) in out or (i, j - 1) in out
-                ):
-                    out.add((i, j))
-        return out
-
-    later: list[set[Point]] = [set()] * r  # later[k]: the routes of paths k+1..r-1
-    for k in range(r - 1, 0, -1):
-        ok = reaching(later[k], starts[k], ends[k])
-        pt = starts[k]
-        if pt not in ok:  # the hooks (a_k, n) -> (a_k, b_k) -> (m, b_k) form a family
-            raise ArithmeticError(f"path {k + 1} has no route clear of the later ones")
-        route = {pt}
-        while pt != ends[k]:
-            i, j = pt
-            pt = (i + 1, j) if (i + 1, j) in ok else (i, j - 1)
-            route.add(pt)
-        later[k - 1] = later[k] | route
+    room = [[_room(spec, k, x) for x in range(m + 1)] for k in range(r)]
+    low = [[n] * (m + 1) for _ in range(r)]  # low[k][x] = L_k(x), with L_k(a_k - 1) = n
     out: list[PathFamily] = []
     acc: list[tuple[Point, ...]] = []
 
-    def start(idx: int, taken: set[Point]) -> None:
-        ok = reaching(taken | later[idx], starts[idx], ends[idx])
-        if starts[idx] in ok:
-            walk(idx, starts[idx], ok, taken, [])
-
-    def walk(idx: int, pt: Point, ok: set[Point], taken: set[Point], current: list[Point]) -> None:
-        current.append(pt)
-        if pt == ends[idx]:
-            acc.append(tuple(current))
-            if idx + 1 == r:
-                if len(out) >= max_facets:
-                    raise ValueError(
-                        f"facet cap {max_facets} exceeded (partial count {len(out)})"
-                    )
-                out.append(PathFamily(spec, tuple(acc)))
+    def walk(k: int, x: int, current: list[Point]) -> None:
+        prev = low[k][x - 1]
+        top = min(room[k][x], prev)
+        bottom = max(spec.cols[k], low[k - 1][x - 1] + 1) if k else spec.cols[k]
+        if bottom > top:
+            raise ArithmeticError(f"path {k + 1} has no room in row {x}")
+        base = len(current)
+        current.extend(zip(repeat(x), range(prev, bottom - 1, -1)))
+        for col in range(bottom, top + 1):
+            low[k][x] = col
+            if x < m:
+                walk(k, x + 1, current)
+            elif k + 1 < r:
+                acc.append(tuple(current))
+                walk(k + 1, spec.rows[k + 1], [])
+                acc.pop()
+            elif len(out) >= max_facets:
+                raise ValueError(f"facet cap {max_facets} exceeded (partial count {len(out)})")
             else:
-                start(idx + 1, taken | set(current))
-            acc.pop()
-        else:
-            i, j = pt
-            for step in ((i, j - 1), (i + 1, j)):
-                if step in ok:
-                    walk(idx, step, ok, taken, current)
-        current.pop()
+                out.append(PathFamily(spec, (*acc, tuple(current))))
+            current.pop()
+        del current[base:]
 
-    start(0, set())
+    walk(0, spec.rows[0], [])
     expected = spec.facet_size
     for fam in out:
         if len(fam) != expected:

@@ -24,6 +24,7 @@ from shellball.paths import (
     MinorSpec,
     PathFamily,
     _extension,
+    _room,
     _successors,
     corner_spectrum,
     enumerate_facets,
@@ -146,7 +147,9 @@ def test_facet_counts_match_lgv_oracle(m, n, r):
 
 
 def test_enumerate_facets_matches_dead_end_walk():
-    # every minor of every m x n matrix with m <= 5, n <= 7 and m * n <= 30
+    # every minor of every m x n matrix with m <= 5, n <= 7 and m * n <= 30;
+    # the room bound of each path and row is the largest profile entry that
+    # any facet takes there, so it is both valid and tight
     shapes = 0
     for m in range(1, 6):
         for n in range(m, min(7, 30 // m) + 1):
@@ -154,8 +157,14 @@ def test_enumerate_facets_matches_dead_end_walk():
                 for rows in combinations(range(1, m + 1), r):
                     for cols in combinations(range(1, n + 1), r):
                         spec = MinorSpec(m, n, rows, cols)
+                        oracle = walk_all_facets(spec)
                         found = [fam.paths for fam in enumerate_facets(spec)]
-                        assert found == [fam.paths for fam in walk_all_facets(spec)], spec
+                        assert found == [fam.paths for fam in oracle], spec
+                        for k, a in enumerate(rows):
+                            used = {fam.paths[k] for fam in oracle}
+                            for x in range(a, m + 1):
+                                top = max(min(y for i, y in path if i == x) for path in used)
+                                assert top == _room(spec, k, x), (spec, k, x)
                         shapes += 1
     assert shapes == 1892
 
@@ -230,6 +239,10 @@ def test_internal_checks_raise(monkeypatch):
     monkeypatch.setattr(oracles, "path_corners", lambda path: frozenset())
     with pytest.raises(ArithmeticError, match="has corners"):
         flip(((1, 3), (1, 2), (1, 1), (2, 1)), (1, 1))
+    # a room bound below the end column leaves the walk an empty range
+    monkeypatch.setattr(paths, "_room", lambda spec, k, x: spec.cols[k] - 1)
+    with pytest.raises(ArithmeticError, match="^path 1 has no room in row 1$"):
+        enumerate_facets(MinorSpec.diagonal(2, 3, 1))
 
 
 def test_flip_grows_corners_everywhere():
