@@ -262,6 +262,13 @@ def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
 # facet partial order and shellings
 
 
+def _check_specs(facets: list[PathFamily], spec: MinorSpec | None = None) -> None:
+    """Refuse facets of two minors, or of a minor other than ``spec`` when given."""
+    spec = spec or next((f.spec for f in facets), None)
+    if any(f.spec != spec for f in facets):
+        raise ValueError("mismatched specs")
+
+
 def _successors(facets: list[PathFamily]) -> list[list[int]]:
     """For each facet, the increasing indices of the other facets above it.
 
@@ -270,8 +277,7 @@ def _successors(facets: list[PathFamily]) -> list[list[int]]:
     facets above facet j are the AND of one such bitset per profile entry
     of j, without comparing pairs.
     """
-    if any(f.spec != facets[0].spec for f in facets[1:]):
-        raise ValueError("mismatched specs")
+    _check_specs(facets)
     profiles = [f.profile for f in facets]
     at_least = []
     for column in zip(*profiles):
@@ -324,8 +330,7 @@ def shelling_order(facets: list[PathFamily]) -> list[PathFamily]:
     hence a shelling; `enumerate_facets` already returns it.  Facets of
     different minors and a repeated facet raise `ValueError`.
     """
-    if any(f.spec != facets[0].spec for f in facets[1:]):
-        raise ValueError("mismatched specs")
+    _check_specs(facets)
     out = sorted(facets, key=lambda fam: fam.index_tuple)
     for f, g in zip(out, out[1:]):
         if f.index_tuple == g.index_tuple:
@@ -412,10 +417,12 @@ def path_complex(
     """The simplicial complex of a minor plus a shelling order (facet indices).
 
     The complex stores its facets in `shelling_order`'s canonical order, so
-    the shelling is 0..t-1 whatever the order of ``facets``.
+    the shelling is 0..t-1 whatever the order of ``facets``.  Facets of
+    another minor than ``spec`` raise `ValueError`.
     """
     if facets is None:
         facets = enumerate_facets(spec)
+    _check_specs(facets, spec)
     masks = [fam.mask for fam in shelling_order(facets)]
     cx = SimplicialComplex(spec.m * spec.n, masks, labels=spec.grid_labels())
     return cx, list(range(len(cx.facets)))

@@ -631,6 +631,12 @@ def test_mixed_specs_are_refused():
         shelling_order(fams)
     with pytest.raises(ValueError, match="mismatched specs"):
         random_shelling_orders(fams, 1, seed=0)
+    # facets of another minor than the spec: a 3x4 list under a 3x5 spec once
+    # gave a complex with 3x5 labels on 3x4 vertex indices
+    small, large = MinorSpec.diagonal(3, 4, 1), MinorSpec.diagonal(3, 5, 1)
+    for spec, other in ((large, small), (small, large)):
+        with pytest.raises(ValueError, match="^mismatched specs$"):
+            path_complex(spec, enumerate_facets(other))
 
 
 def test_canonical_generators_minor23():
