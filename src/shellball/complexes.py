@@ -457,7 +457,10 @@ def complex_from_text_with_order(text: str) -> tuple[SimplicialComplex, list[int
     for i, ln in rest:
         if not all(tok.isdecimal() and int(tok) < n for tok in ln.split()):
             raise ValueError(f"line {i}: expected integer vertex indices below n={n}, got {ln!r}")
-        facets.append([int(tok) for tok in ln.split()])
+        facet = [int(tok) for tok in ln.split()]
+        if len(set(facet)) != len(facet):
+            raise ValueError(f"line {i}: expected distinct vertex indices, got {ln!r}")
+        facets.append(facet)
     cx = build_complex(facets, n, labels)
     pos = {m: k for k, m in enumerate(cx.facets)}
     masks = (mask_of(fs) for fs in facets)

@@ -344,6 +344,7 @@ def test_malformed_sigma_names_its_form(capsys, sigma):
             "line 5: expected integer vertex indices below n=4, got '1 9'",
         ),
         ("n=4\n0 -1\n", "line 2: expected integer vertex indices below n=4, got '0 -1'"),
+        ("n=3\n0 1\n0 0 1\n", "line 3: expected distinct vertex indices, got '0 0 1'"),
         (
             "n=3\nlabels=a,b\n0 1 2\n",
             "line 2: expected 3 distinct comma-separated labels, got 'labels=a,b'",

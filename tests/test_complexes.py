@@ -545,3 +545,6 @@ def test_text_writer_refuses_complexes_without_a_facet_line(cx, message):
 def test_text_reader_rejects_garbage():
     with pytest.raises(ValueError):
         complex_from_text_with_order("facets only\n0 1\n")
+    # a repeated vertex is refused, not merged into the facet 0 1
+    with pytest.raises(ValueError, match=r"^line 2: expected distinct vertex indices, got '0 0 1'$"):
+        complex_from_text_with_order("n=3\n0 0 1\n")

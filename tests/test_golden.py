@@ -245,6 +245,7 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
                 "n=3\n0 1\n0 x\n",
                 "# ball\nn=4\n\n0 1\n1 9\n",
                 "n=4\n0 -1\n",
+                "n=3\n0 1\n0 0 1\n",
                 "n=3\nlabels=a,b\n0 1 2\n",
                 "# ball\nn=3\nlabels=a,b,a\n0 1 2\n",
                 "n=3\nlabels=a,b,c\n# no facets\n",
