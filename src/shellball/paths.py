@@ -24,11 +24,11 @@ bounds.  If: L_{k+s}(y) = max(L_k(y-s) + s, b_{k+s}) for s >= 1 is a
 completion; the bounds keep it at most n and make it end at b_{k+s}, and
 b_{k+s-1} < b_{k+s} separates it from path k+s-1.
 
-So `enumerate_facets` walks path k row by row and takes L_k(x) from
-min(bound, L_k(x-1)) down to max(b_k, L_{k-1}(x-1) + 1), and every value
-in that range extends: path k goes on with L_k(y) = max(b_k,
-L_{k-1}(y-1) + 1), which path k-1's bound for s+1 keeps within path k's
-bound for s.  That range is never empty, so the walk meets no dead end.
+So `enumerate_facets` walks path k row by row and takes every L_k(x) from
+max(b_k, L_{k-1}(x-1) + 1) up to min(bound, L_k(x-1)), and each one
+extends: path k goes on with L_k(y) = max(b_k, L_{k-1}(y-1) + 1), which
+path k-1's bound for s+1 keeps within path k's bound for s.  That range is
+never empty, so the walk meets no dead end.
 
 Facets are ordered entrywise by profile; the linear extensions of that
 order are shellings.  The canonical order, by sorted vertex indices, is one
@@ -191,10 +191,10 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
     """All families of disjoint paths, canonically ordered by vertex-index sets.
 
     Each path is walked row by row on its profile, and row x of path k takes
-    every column from ``min(_room(spec, k, x), L_k(x-1))`` down to
-    ``max(b_k, L_{k-1}(x-1) + 1)``.  By the room lemma (module docstring)
-    every such value extends to a family, so the walk meets no dead end, and
-    an empty range is a broken invariant (`ArithmeticError`).
+    every column from ``max(b_k, L_{k-1}(x-1) + 1)`` up to
+    ``min(_room(spec, k, x), L_k(x-1))``.  By the room lemma (module
+    docstring) every such value extends to a family, so the walk meets no
+    dead end, and an empty range is a broken invariant (`ArithmeticError`).
     """
     if max_facets < 0:
         raise ValueError(f"need max_facets >= 0, got {max_facets}")
@@ -210,6 +210,7 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
         bottom = max(spec.cols[k], low[k - 1][x - 1] + 1) if k else spec.cols[k]
         if bottom > top:
             raise ArithmeticError(f"path {k + 1} has no room in row {x}")
+        # row x holds the columns prev..col; each pop moves col one to the right
         base = len(current)
         current.extend(zip(repeat(x), range(prev, bottom - 1, -1)))
         for col in range(bottom, top + 1):
