@@ -9,8 +9,9 @@ Profiles.  Let L_k(x) be path k's smallest column in row x, for
 a_k <= x <= m, and put L_k(a_k - 1) = n.  Path k's points in row x are the
 columns L_k(x)..L_k(x-1), so a family is exactly an integer array with
 L_k(m) = b_k, L_k(x) <= L_k(x-1), and L_{k-1}(x-1) < L_k(x) for
-a_k <= x <= m (path k-1 stays left of path k).  `PathFamily.profile` lists
-the entries path by path.
+a_k <= x <= m (path k-1 stays left of path k).  A `PathFamily` stores
+these entries path by path as its `profile`, and nothing else: its points,
+corners and vertex mask are derived from the profile where they are read.
 
 Room lemma.  Paths 1..k of such an array extend to a whole family iff,
 for each s >= 0 with k+s <= r, L_k(x) <= n - s whenever x >= a_{k+s} - s,
@@ -63,6 +64,8 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
@@ -128,10 +131,37 @@ def path_corners(path: tuple[Point, ...]) -> frozenset[Point]:
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A facet: r disjoint monotone paths with the prescribed endpoints."""
+    """A facet: r disjoint monotone paths with the prescribed endpoints.
+
+    ``profile`` is the facet's one stored form: per path k and row x it
+    crosses, in order, path k's smallest column L_k(x), and path k covers
+    the columns L_k(x)..L_k(x-1) of row x (module docstring).  A path only
+    moves down or left, so its leftmost point in row x is its leftmost point
+    in all rows <= x: f1 <= f2 iff f1.profile <= f2.profile entry by entry.
+    Profiles and facets are in bijection, so equality and hashing compare
+    profiles.  The points, corners, mask and vertex indices are derived from
+    the profile when first read; the mask alone builds no point.
+    """
 
     spec: MinorSpec
-    paths: tuple[tuple[Point, ...], ...]
+    profile: tuple[int, ...]
+
+    def _rows(self) -> Iterator[tuple[int, int, int, int]]:
+        """(k, x, lo, hi) for each path k and row x: path k covers columns lo..hi."""
+        entries = iter(self.profile)
+        for k, a in enumerate(self.spec.rows):
+            hi = self.spec.n
+            for x, lo in zip(range(a, self.spec.m + 1), entries):
+                yield k, x, lo, hi
+                hi = lo
+
+    @cached_property
+    def paths(self) -> tuple[tuple[Point, ...], ...]:
+        """Each path's points from its start, row by row, right to left within a row."""
+        out: list[list[Point]] = [[] for _ in self.spec.rows]
+        for k, x, lo, hi in self._rows():
+            out[k].extend(zip(repeat(x), range(hi, lo - 1, -1)))
+        return tuple(map(tuple, out))
 
     @cached_property
     def points(self) -> frozenset[Point]:
@@ -142,34 +172,18 @@ class PathFamily:
         return frozenset().union(*map(path_corners, self.paths))
 
     @cached_property
-    def profile(self) -> tuple[int, ...]:
-        """Per path i and row x it crosses, in order, path i's smallest column in row x.
-
-        A path only moves down or left, so its leftmost point in row x is its
-        leftmost point in all rows <= x: f1 <= f2 iff f1.profile <= f2.profile
-        entry by entry.  Row x of a path runs from the entry of row x-1 (or n)
-        to the entry of row x, so distinct facets have distinct profiles.
-        Only `_successors` reads it; the canonical order extends this order
-        (module docstring), so the deterministic shelling does not need it.
-        """
-        out: list[int] = []
-        for path in self.paths:
-            low: dict[int, int] = {}
-            for x, y in path:
-                low[x] = min(y, low.get(x, y))
-            out.extend(low[x] for x in sorted(low))
-        return tuple(out)
-
-    @cached_property
     def index_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.spec.vertex_index(p) for p in self.points))
+        return vertices_of(self.mask)
 
     @cached_property
     def mask(self) -> int:
-        return mask_of(self.index_tuple)
+        n, mask = self.spec.n, 0
+        for _, x, lo, hi in self._rows():
+            mask |= ((2 << (hi - lo)) - 1) << ((x - 1) * n + lo - 1)
+        return mask
 
     def __len__(self) -> int:
-        return len(self.index_tuple)
+        return self.mask.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +216,25 @@ def enumerate_facets(spec: MinorSpec, max_facets: int = DEFAULT_FACET_CAP) -> li
     room = [[_room(spec, k, x) for x in range(m + 1)] for k in range(r)]
     low = [[n] * (m + 1) for _ in range(r)]  # low[k][x] = L_k(x), with L_k(a_k - 1) = n
     out: list[PathFamily] = []
-    acc: list[tuple[Point, ...]] = []
 
-    def walk(k: int, x: int, current: list[Point]) -> None:
-        prev = low[k][x - 1]
-        top = min(room[k][x], prev)
+    def walk(k: int, x: int) -> None:
+        top = min(room[k][x], low[k][x - 1])
         bottom = max(spec.cols[k], low[k - 1][x - 1] + 1) if k else spec.cols[k]
         if bottom > top:
             raise ArithmeticError(f"path {k + 1} has no room in row {x}")
-        # row x holds the columns prev..col; each pop moves col one to the right
-        base = len(current)
-        current.extend(zip(repeat(x), range(prev, bottom - 1, -1)))
         for col in range(bottom, top + 1):
             low[k][x] = col
             if x < m:
-                walk(k, x + 1, current)
+                walk(k, x + 1)
             elif k + 1 < r:
-                acc.append(tuple(current))
-                walk(k + 1, spec.rows[k + 1], [])
-                acc.pop()
+                walk(k + 1, spec.rows[k + 1])
             elif len(out) >= max_facets:
                 raise ValueError(f"facet cap {max_facets} exceeded (partial count {len(out)})")
             else:
-                out.append(PathFamily(spec, (*acc, tuple(current))))
-            current.pop()
-        del current[base:]
+                profile = tuple(v for a, row in zip(spec.rows, low) for v in row[a:])
+                out.append(PathFamily(spec, profile))
 
-    walk(0, spec.rows[0], [])
+    walk(0, spec.rows[0])
     expected = spec.facet_size
     for fam in out:
         if len(fam) != expected:
@@ -361,10 +367,8 @@ def h_via_corners(facets: list[PathFamily]) -> tuple[int, ...]:
     if not facets:
         raise ValueError("no facets")
     d = len(facets[0])
-    counts: dict[int, int] = {}
-    for fam in facets:
-        counts[len(fam.corners)] = counts.get(len(fam.corners), 0) + 1
-    return tuple(counts.get(i, 0) for i in range(d + 1))
+    counts = Counter(len(fam.corners) for fam in facets)
+    return tuple(counts[i] for i in range(d + 1))
 
 
 def corner_spectrum(facets: list[PathFamily]) -> dict[int, PathFamily]:

@@ -5,13 +5,13 @@ move on one path, family flips against corner-maximality, the corner-maximal
 generators of the minimal inside faces, the prefix boundary test, reduced
 homology of a whole complex, face membership by lookup in the face lattice,
 minimal vertex covers by branch and bound, the unused vertices of a
-complex, and the facet walk that follows every dead end.  No pipeline
-stage, CLI command or demo calls them; the library computes the same
-objects from shelling certificates, Hochster walks, Berge's transversal
-step and a walk that keeps room for the later paths, and the tests compare
-the two.  Keeping them here keeps `shellball` to the
-pipeline and the paper's objects, and keeps each oracle apart from the code
-it checks.
+complex, a facet's row profile read off its points, and the facet walk
+that follows every dead end.  No pipeline stage, CLI command or demo calls
+them; the library computes the same objects from shelling certificates,
+Hochster walks, Berge's transversal step and a walk that keeps room for the
+later paths, and the tests compare the two.  Keeping them here keeps
+`shellball` to the pipeline and the paper's objects, and keeps each oracle
+apart from the code it checks.
 """
 
 from __future__ import annotations
@@ -162,15 +162,27 @@ def unused_vertices(cx: SimplicialComplex) -> tuple[int, ...]:
     return vertices_of(~cx.used_mask & ((1 << cx.n) - 1))
 
 
-def walk_all_facets(spec: MinorSpec) -> list[PathFamily]:
-    """All families of disjoint paths, by a walk that also follows every dead end.
+def profile_of(paths) -> tuple[int, ...]:
+    """Per path and row it crosses, in order, the path's smallest column in that row."""
+    out: list[int] = []
+    for path in paths:
+        low: dict[int, int] = {}
+        for x, y in path:
+            low[x] = min(y, low.get(x, y))
+        out.extend(low[x] for x in sorted(low))
+    return tuple(out)
+
+
+def walk_all_facets(spec: MinorSpec) -> list[tuple[tuple[Point, ...], ...]]:
+    """All families of disjoint paths as point tuples, by a walk that also
+    follows every dead end, in canonical order (by sorted vertex indices).
 
     Each path is walked left before down from its start, skipping only the
     points of the paths before it, so a partial family that leaves the later
     paths no room is found out only when they fail to reach their ends.
     """
     m, n, r = spec.m, spec.n, spec.r
-    out: list[PathFamily] = []
+    out: list[tuple[tuple[Point, ...], ...]] = []
     acc: list[tuple[Point, ...]] = []
 
     def walk(idx: int, pt: Point, occupied: set[Point], current: list[Point]) -> None:
@@ -181,7 +193,7 @@ def walk_all_facets(spec: MinorSpec) -> list[PathFamily]:
         if pt == (m, spec.cols[idx]):
             acc.append(tuple(current))
             if idx + 1 == r:
-                out.append(PathFamily(spec, tuple(acc)))
+                out.append(tuple(acc))
             else:
                 walk(idx + 1, (spec.rows[idx + 1], n), occupied, [])
             acc.pop()
@@ -195,4 +207,4 @@ def walk_all_facets(spec: MinorSpec) -> list[PathFamily]:
         current.pop()
 
     walk(0, (spec.rows[0], n), set(), [])
-    return sorted(out, key=lambda fam: fam.index_tuple)
+    return sorted(out, key=lambda fam: sorted(spec.vertex_index(p) for path in fam for p in path))

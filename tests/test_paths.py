@@ -15,6 +15,7 @@ from shellball.complexes import (
     boundary_h_from_h,
     f_vector,
     h_vector,
+    mask_of,
     minimal_inside_faces,
     minimal_nonfaces,
     multiplicity,
@@ -22,7 +23,6 @@ from shellball.complexes import (
 )
 from shellball.paths import (
     MinorSpec,
-    PathFamily,
     _extension,
     _room,
     _successors,
@@ -45,6 +45,7 @@ from tests.oracles import (
     canonical_generators,
     flip,
     is_face,
+    profile_of,
     walk_all_facets,
 )
 
@@ -147,7 +148,9 @@ def test_facet_counts_match_lgv_oracle(m, n, r):
 
 
 def test_enumerate_facets_matches_dead_end_walk():
-    # every minor of every m x n matrix with m <= 5, n <= 7 and m * n <= 30;
+    # every minor of every m x n matrix with m <= 5, n <= 7 and m * n <= 30:
+    # the points, profiles and masks derived from the stored profiles match
+    # the dead-end walk's own point tuples;
     # the room bound of each path and row is the largest profile entry that
     # any facet takes there, so it is both valid and tight
     shapes = 0
@@ -158,10 +161,15 @@ def test_enumerate_facets_matches_dead_end_walk():
                     for cols in combinations(range(1, n + 1), r):
                         spec = MinorSpec(m, n, rows, cols)
                         oracle = walk_all_facets(spec)
-                        found = [fam.paths for fam in enumerate_facets(spec)]
-                        assert found == [fam.paths for fam in oracle], spec
+                        fams = enumerate_facets(spec)
+                        assert [fam.paths for fam in fams] == oracle, spec
+                        assert [fam.profile for fam in fams] == list(map(profile_of, oracle)), spec
+                        assert [fam.mask for fam in fams] == [
+                            mask_of(spec.vertex_index(p) for path in pts for p in path)
+                            for pts in oracle
+                        ], spec
                         for k, a in enumerate(rows):
-                            used = {fam.paths[k] for fam in oracle}
+                            used = {pts[k] for pts in oracle}
                             for x in range(a, m + 1):
                                 top = max(min(y for i, y in path if i == x) for path in used)
                                 assert top == _room(spec, k, x), (spec, k, x)
@@ -201,6 +209,15 @@ def test_enumerate_facets_pinned_beyond_the_walk(spec, count, digest):
     found = [fam.paths for fam in enumerate_facets(spec)]
     text = json.dumps(found, separators=(",", ":"))
     assert (len(found), hashlib.sha256(text.encode("utf-8")).hexdigest()) == (count, digest)
+
+
+def test_check_path_builds_no_points():
+    # `check` and `generate` read only masks, which come from the profiles
+    spec = MinorSpec.diagonal(6, 7, 3)
+    fams = enumerate_facets(spec)
+    path_complex(spec, fams)
+    assert len(fams) == 4116
+    assert [fam for fam in fams if {"paths", "points"} & vars(fam).keys()] == []
 
 
 def test_facet_cap():
@@ -415,9 +432,9 @@ def test_distinct_facets_have_distinct_profiles(spec):
     fams = enumerate_facets(spec)
     assert len({fam.profile for fam in fams}) == len(fams)
     for fam in fams:
-        # the profile takes row minima, so it ignores how a path stores its points
-        shuffled = PathFamily(spec, tuple(tuple(reversed(path)) for path in fam.paths))
-        assert shuffled.profile == fam.profile
+        # the oracle takes row minima, so it ignores how a path lists its points
+        shuffled = tuple(tuple(reversed(path)) for path in fam.paths)
+        assert profile_of(shuffled) == fam.profile
 
 
 @pytest.mark.parametrize("spec", ORDER_SPECS + [MinorSpec.diagonal(5, 7, 1)], ids=spec_id)
