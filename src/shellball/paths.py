@@ -270,10 +270,16 @@ def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
 
 
 def _check_specs(facets: list[PathFamily], spec: MinorSpec | None = None) -> None:
-    """Refuse facets of two minors, or of a minor other than ``spec`` when given."""
+    """Refuse facets of two minors, or of a minor other than ``spec`` when given,
+    and a facet listed twice (its profile repeats)."""
     spec = spec or next((f.spec for f in facets), None)
     if any(f.spec != spec for f in facets):
         raise ValueError("mismatched specs")
+    seen: set[tuple[int, ...]] = set()
+    for f in facets:
+        if f.profile in seen:
+            raise ValueError(f"repeated facet {list(f.index_tuple)}")
+        seen.add(f.profile)
 
 
 def _successors(facets: list[PathFamily]) -> list[list[int]]:
@@ -338,11 +344,7 @@ def shelling_order(facets: list[PathFamily]) -> list[PathFamily]:
     different minors and a repeated facet raise `ValueError`.
     """
     _check_specs(facets)
-    out = sorted(facets, key=lambda fam: fam.index_tuple)
-    for f, g in zip(out, out[1:]):
-        if f.index_tuple == g.index_tuple:
-            raise ValueError(f"repeated facet {list(f.index_tuple)}")
-    return out
+    return sorted(facets, key=lambda fam: fam.index_tuple)
 
 
 def random_shelling_orders(

@@ -639,6 +639,8 @@ def test_repeated_facet_is_refused():
         shelling_order(fams + fams[:1])
     with pytest.raises(ValueError, match=r"^repeated facet \[0, 1, 2, 3\]$"):
         path_complex(fams[0].spec, fams[:1] + fams)
+    with pytest.raises(ValueError, match=r"^repeated facet \[0, 1, 2, 3\]$"):
+        random_shelling_orders(fams + fams[:1], 1, seed=0)
 
 
 def test_mixed_specs_are_refused():
