@@ -99,6 +99,8 @@ def _build_instance(kind: str, tokens: list[str], max_facets: int):
             r = _int_param(kv, "r")
             spec = paths.MinorSpec.diagonal(m, n, r)
             name = f"minor m={m} n={n} r={r}"
+        if m * n > cxmod.MAX_VERTICES:
+            raise ValueError(f"grid size {m * n} exceeds vertex cap {cxmod.MAX_VERTICES}")
         cx, order = paths.path_complex(spec, paths.enumerate_facets(spec, max_facets))
         return cx, order, name
     # argparse admits only minor and polar

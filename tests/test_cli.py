@@ -242,6 +242,7 @@ def test_missing_param_is_usage_error(capsys):
         ("check minor m=3 n=4 sigma=1,4|1,2", "error: minor indices out of matrix range"),
         ("check polar n=0 t=1", "error: need n >= 1 and t >= 1"),
         ("check polar n=20 t=7", "error: grid size 140 exceeds vertex cap 128"),
+        ("check minor m=12 n=12 r=1", "error: grid size 144 exceeds vertex cap 128"),
         (
             "generate minor m=3 n=4 r=1 --max-facets 0",
             "error: facet cap 0 exceeded (partial count 0)",

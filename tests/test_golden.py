@@ -201,6 +201,7 @@ def cli_cases() -> dict[str, tuple[str, dict[str, str]]]:
         "check minor m=3 n=4 r=4",
         "check polar n=0 t=1",
         "check polar n=20 t=7",
+        "check minor m=12 n=12 r=1",
         "generate minor m=3 n=4 r=1 --max-facets 0",
         "dual m=1 n=3",
         "corners m=3 n=4 r=3",
