@@ -1,6 +1,11 @@
 import pytest
 
-from shellball.complexes import boundary_complex, minimal_nonfaces, vertices_of
+from shellball.complexes import (
+    boundary_complex,
+    boundary_h_from_h,
+    minimal_nonfaces,
+    vertices_of,
+)
 from shellball.polarization import (
     grid_index,
     multicomplex_facets,
@@ -9,7 +14,7 @@ from shellball.polarization import (
     power_ideal_complex,
     theta,
 )
-from shellball.shelling import verify_ball, verify_shelling
+from shellball.shelling import certified_h, verify_ball, verify_shelling
 
 
 def test_polarize_basic():
@@ -128,3 +133,51 @@ def test_gluing_steps_follow_neighbour_structure(n, t):
 def test_vertex_cap():
     with pytest.raises(ValueError, match="cap"):
         power_ideal_complex(20, 20)
+
+
+# Shellings of the boundary spheres of polar (3,3), (4,3) and (3,4), as
+# indices into `boundary_complex(cx).facets`.  A greedy search found them
+# once: it took the boundary facets in order of the first ball step whose
+# facet holds them, and added the first one that keeps the restriction-face
+# condition.  The canonical and the reversed orders of these boundaries do
+# not shell.
+POLAR_BOUNDARY_SHELLINGS = {
+    (3, 3): [
+        20, 26, 19, 25, 21, 17, 29, 8, 16, 18, 23, 24, 28, 14, 15, 22, 27, 10, 7, 9, 11,
+        13, 4, 5, 6, 12, 0, 1, 2, 3,
+    ],
+    (4, 3): [
+        47, 53, 65, 46, 52, 64, 48, 44, 56, 35, 71, 15, 43, 45, 50, 51, 62, 63, 55, 70,
+        41, 42, 49, 61, 54, 37, 69, 17, 34, 36, 38, 40, 59, 68, 31, 32, 33, 39, 58, 60,
+        67, 27, 28, 29, 30, 57, 66, 21, 14, 16, 20, 18, 23, 26, 11, 12, 13, 19, 22, 25,
+        6, 7, 8, 9, 10, 24, 0, 1, 2, 3, 4, 5,
+    ],
+    (3, 4): [
+        66, 78, 65, 77, 68, 85, 62, 74, 37, 46, 64, 76, 67, 84, 69, 59, 60, 55, 89, 34,
+        35, 28, 13, 58, 61, 73, 75, 63, 56, 82, 83, 88, 53, 54, 57, 71, 72, 80, 81, 87,
+        40, 50, 51, 52, 70, 79, 86, 38, 31, 16, 33, 36, 39, 45, 41, 29, 49, 14, 26, 27,
+        30, 32, 43, 44, 48, 22, 23, 24, 25, 42, 47, 18, 11, 12, 15, 17, 19, 21, 6, 7, 8,
+        9, 10, 20, 0, 1, 2, 3, 4, 5,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "n,t,bh",
+    [
+        (3, 3, (1, 4, 10, 10, 4, 1)),
+        (4, 3, (1, 5, 15, 15, 15, 15, 5, 1)),
+        (3, 4, (1, 4, 10, 20, 20, 20, 10, 4, 1)),
+    ],
+)
+def test_polar_boundary_spheres_shell(n, t, bh):
+    # the paper's shellable spheres: the pinned order passes the certificate,
+    # and its h-vector is the one the ball's h-vector gives its boundary
+    cx, order = power_ideal_complex(n, t)
+    ball = verify_ball(cx, order)
+    assert ball.ok
+    bd = boundary_complex(cx)
+    assert not verify_shelling(bd, range(len(bd.facets))).ok
+    shell = verify_shelling(bd, POLAR_BOUNDARY_SHELLINGS[n, t])
+    assert shell.ok, shell.reason
+    assert certified_h(bd, shell) == boundary_h_from_h(certified_h(cx, ball.shelling)) == bh
