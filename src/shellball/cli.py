@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -230,6 +231,7 @@ def cmd_cyclic(args) -> int:
     return EXIT_PASS if mult <= upper and (not even_case or mult == upper) else EXIT_FAIL
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="shellball", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

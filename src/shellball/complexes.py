@@ -298,18 +298,34 @@ def vector_profile(seq: Sequence[int]) -> VectorProfile:
 # nonfaces, boundary, inside faces
 
 
-def _minimal_outside(levels: dict[int, set[int]], used: int) -> list[int]:
-    """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``.
+def _neighbours(levels: dict[int, set[int]]) -> dict[int, int]:
+    """Each vertex bit on an edge of the lattice ``levels``, mapped to its neighbours."""
+    adjacent: dict[int, int] = {}
+    for e in levels.get(2, ()):
+        low = e & -e
+        adjacent[low] = adjacent.get(low, 0) | e ^ low
+        adjacent[e ^ low] = adjacent.get(e ^ low, 0) | low
+    return adjacent
+
+
+def _minimal_outside(
+    levels: dict[int, set[int]], used: int, largest: int = MAX_VERTICES
+) -> list[int]:
+    """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``,
+    of size at most ``largest``.
 
     Candidates of size k are (k-1)-sets of the lattice extended by a used
     vertex above their top one, so each arises once; a candidate outside
     the lattice is minimal iff every codimension-one subset lies in it, so
-    no minimal one is missed.  The search stops by itself at the first size
-    with no (k-1)-sets, so no size bound is assumed.
+    no minimal one is missed.  From k = 3 on a minimal candidate holds all
+    its edges, so one whose new vertex is not adjacent to every vertex of
+    the (k-1)-set is dropped before that check.  The search stops at size
+    ``largest`` or at the first size with no (k-1)-sets.
     """
+    adjacent = _neighbours(levels)
     out: list[int] = []
     k = 1
-    while base := levels.get(k - 1):
+    while k <= largest and (base := levels.get(k - 1)):
         cur = levels.get(k, ())
         for f in base:
             rem = used & -(1 << f.bit_length())
@@ -317,7 +333,7 @@ def _minimal_outside(levels: dict[int, set[int]], used: int) -> list[int]:
                 b = rem & -rem
                 rem ^= b
                 g = f | b
-                if g in cur:
+                if g in cur or k > 2 and f & ~adjacent.get(b, 0):
                     continue
                 if all((g ^ (1 << v)) in base for v in iter_bits(f)):
                     out.append(g)

@@ -10,25 +10,39 @@ Only the unions of minimal nonfaces are summed (the support of the lcm
 lattice).  If some vertex x of W lies in no minimal nonface inside W, then
 adding x to a face of the induced subcomplex on W gives a face again, so
 that subcomplex is a cone over x and has no reduced homology.  One binary
-walk over the used vertices finds the remaining W: it filters the minimal
-nonfaces once per excluded vertex and cuts a subtree as soon as a chosen
-vertex lies in no minimal nonface avoiding the excluded ones.  The faces of
-size >= 2 are laid out once, by size and then mask, and the walk carries
-the faces still alive as one int of bits over that list: excluding a
-vertex is one AND with the bitset of the faces that avoid it.  At a leaf W
-the alive faces are exactly the faces inside W.
+walk over the used vertices finds the remaining W.  It carries the minimal
+nonfaces avoiding every excluded vertex as one int of bits over their list,
+so excluding a vertex is one AND with the bitset of those without it, and it
+cuts a subtree as soon as a chosen vertex lies in none of them.  The faces
+of size >= 2 are laid out once, by size and then mask, and the walk carries
+the faces still alive the same way.  At a leaf W the alive faces are
+exactly the faces inside W.
 
-A leaf takes its bottom ranks in closed form.  f_{-1} = 1, f_0 = |W|, and
-each larger f_k is a popcount of the alive bits in the range of size k+1.
-The map from vertices to the empty face has rank 1.  The map from edges to
-vertices is the oriented incidence matrix of the graph on W (an induced
-subcomplex holds every edge inside W), whose rank is |W| - c(W) over every
-field, c(W) its connected components; c(W) comes from a bitmask search.
-Only faces of size >= 3 are ranked by elimination.  A face's boundary column
-is built the first time a leaf reads it and kept for the table; the row of
-a face is its position within the range of its own size, so rows never
-change.  A single row is `hochster_betti_table(...).row(i)`; past
-the default cap of 16 used vertices pass `max_vertices`.
+A leaf ranks only the faces outside one vertex star.  The closed star
+st_W(v) of a vertex v of W, the faces F of Delta_W with F + v in Delta_W,
+is a cone over v, so the long exact sequence of the pair gives H~_k(Delta_W)
+= H_k(Delta_W, st_W(v)) over every field (Hatcher, Algebraic Topology,
+Section 2.1; Hochster's formula as in Miller-Sturmfels, Cor. 5.12).  The
+relative cells are the vertices of W outside v's closed neighbourhood and
+the faces of size >= 2 outside the star, so h~_k = f_k - r_k - r_{k+1}, f_k
+counting the cells of dimension k and r_k the rank of their boundary map,
+r_0 = 0.  A relative column is the face's boundary column with the star's
+rows dropped.  The leaf takes the v that lies in the most faces of W, so
+that its star covers many of them.  A face's boundary column is built the
+first time a leaf reads it and kept for the table; the row of a face is
+its position within the range of its own size, a vertex's row is its
+number, so rows never change.  The star of v in W is the alive part of its
+star in the whole complex: the faces with v and each F - v for a face F
+with v.  The position of F - v is found the first time a leaf with that v
+holds F, so once per pair.
+
+With `sphere` (below) no leaf has more than u // 2 vertices, so only the
+faces and minimal nonfaces of at most that size are laid out.  This is
+exact: a leaf holds no face and no minimal nonface larger than itself, and
+a chosen vertex that only larger nonfaces hold lies in no minimal nonface
+inside any leaf below it, so the walk reaches the same leaves.  A single row is
+`hochster_betti_table(...).row(i)`; past the default cap of 16 used
+vertices pass `max_vertices`.
 
 A homology sphere of dimension D on the vertex set V (|V| = u) halves the
 walk by Alexander duality: for nonempty W != V, H~_q(Delta_W) is isomorphic
@@ -45,11 +59,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import isqrt
-from operator import or_
 
-from .complexes import SimplicialComplex, iter_bits, minimal_nonface_masks
+from .complexes import SimplicialComplex, _minimal_outside, _neighbours, iter_bits
 from .exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
 
 DEFAULT_VERTEX_CAP = 16
@@ -82,22 +94,29 @@ def _column(face: int, row: dict[int, int], char: int):
 
 
 class _FaceBits:
-    """The faces of size >= 2 of one complex, by size and then mask; a set
-    of them is an int whose bit i stands for `faces[i]`.  `span[s]` holds the
-    faces of size s, `avoid[k]` those without the k-th used vertex, and
-    `adjacent` maps each vertex bit to its neighbours.  `cols[i]` is built on
-    first read."""
+    """The faces of size 2..largest of one complex, by size and then mask; a
+    set of them is an int whose bit i stands for `faces[i]`.  `levels` lists
+    (size, position of its first face, bitset of its faces).  For a used
+    vertex bit v, `avoid[v]` and `holding[v]` are the faces without and with
+    v, and `adjacent[v]` its neighbours.  A face's row is its position within
+    its own size, a vertex's its number.  `cols[i]` is built on first read.
+    `star[v]` holds the faces with v and the faces F - v found so far;
+    `unseen[v]` holds the faces F of size >= 3 with v whose F - v is not yet
+    in `star[v]`."""
 
-    def __init__(self, cx: SimplicialComplex, char: int):
+    def __init__(self, cx: SimplicialComplex, char: int, largest: int):
         levels = cx.faces_by_size()
+        used = cx.used_vertices
         self.char = char
         self.faces: list[int] = []
-        self.row: dict[int, int] = {}
-        self.span: dict[int, int] = {}
-        for s in range(2, max(levels, default=0) + 1):
+        self.row = {1 << v: v for v in used}
+        self.first: dict[int, int] = {}
+        self.levels: list[tuple[int, int, int]] = []
+        for s in range(2, min(max(levels, default=0), largest) + 1):
             level = sorted(levels[s])
             self.row.update(zip(level, range(len(level))))
-            self.span[s] = ((1 << len(level)) - 1) << len(self.faces)
+            self.first[s] = start = len(self.faces)
+            self.levels.append((s, start, ((1 << len(level)) - 1) << start))
             self.faces += level
         # lay the faces' bytes end to end and read bit j of each byte as the
         # digit "1" when it is clear; from the last face down, every width-th
@@ -105,59 +124,74 @@ class _FaceBits:
         width = (cx.n + 7) >> 3
         packed = b"".join(f.to_bytes(width, "little") for f in self.faces)
         digits = [packed.translate(bytes(49 - (x >> j & 1) for x in range(256))) for j in range(8)]
-        self.avoid = [
-            int(digits[v & 7][v >> 3 :: width][::-1] or b"0", 2) for v in cx.used_vertices
-        ]
-        self.adjacent = {1 << v: 0 for v in cx.used_vertices}  # vertex bit -> neighbours
-        for f in levels.get(2, ()):
-            low = f & -f
-            self.adjacent[low] |= f ^ low
-            self.adjacent[f ^ low] |= low
+        self.avoid = {
+            1 << v: int(digits[v & 7][v >> 3 :: width][::-1] or b"0", 2) for v in used
+        }
+        every = (1 << len(self.faces)) - 1
+        big = every & -(1 << self.first.get(3, len(self.faces)))
+        self.holding = {v: every & ~out for v, out in self.avoid.items()}
+        self.star = dict(self.holding)
+        self.unseen = {v: big & on for v, on in self.holding.items()}
+        self.adjacent = _neighbours(levels)
         self.cols: list = [None] * len(self.faces)
-
-    def components(self, w: int) -> int:
-        """Connected components of the graph induced on the vertex set `w`."""
-        count = 0
-        while w:
-            count += 1
-            reach = grow = w & -w
-            while grow:
-                near = 0
-                while grow:
-                    low = grow & -grow
-                    near |= self.adjacent[low]
-                    grow ^= low
-                grow = near & w & ~reach
-                reach |= grow
-            w &= ~reach
-        return count
 
     def reduced_ranks(self, w: int, alive: int) -> dict[int, int]:
         """Reduced homology ranks in dimensions 0..dim of the subcomplex
         induced on the nonempty vertex set `w`, whose faces of size >= 2 are
-        `alive`.  In dimension k the rank is f_k - rank d_k - rank d_{k+1},
-        where d_k maps the faces of size k+1 to those of size k; d_0 and d_1
-        are ranked in closed form (see the module docstring)."""
-        f = {0: w.bit_count()}
-        rank = {0: 1, 1: f[0] - self.components(w)}
-        cols = self.cols
-        for s, span in self.span.items():
-            here = alive & span
-            if not here:
-                break
+        `alive`, relative to the star of the vertex of `w` in the most of
+        them (see the module docstring)."""
+        holding, best, rest = self.holding, -1, w
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            count = (alive & holding[b]).bit_count()
+            if count > best:
+                best, v = count, b
+        return self._relative_ranks(w, alive, v)
+
+    def _relative_ranks(self, w: int, alive: int, v: int) -> dict[int, int]:
+        """The ranks of `reduced_ranks` read off the pair (Delta_W, st_W(v))
+        for the vertex bit `v` of `w`: in dimension k, f_k - r_k - r_{k+1},
+        where f_k counts the faces of size k+1 outside the star and r_k is
+        the rank of their boundary columns with the star's rows dropped."""
+        char, cols, faces, row, first = self.char, self.cols, self.faces, self.row, self.first
+        new = alive & self.unseen[v]
+        if new:
+            self.unseen[v] ^= new
+            image = 0
+            while new:
+                low = new & -new
+                new ^= low
+                g = faces[low.bit_length() - 1] ^ v
+                image |= 1 << first[g.bit_count()] + row[g]
+            self.star[v] |= image
+        star = self.star[v]
+        outside = alive & ~star
+        top = faces[outside.bit_length() - 1].bit_count() if outside else 1
+        keep = ~(self.adjacent.get(v, 0) | v)  # the rows outside the star, among the vertices
+        f = [(w & keep).bit_count()] + [0] * (top - 1)
+        rank = [0] * (top + 1)
+        for s, start, span in self.levels[: top - 1]:
+            here = (outside & span) >> start
             f[s - 1] = here.bit_count()
-            if s > 2:
+            if here:
                 group = []
                 while here:
                     low = here & -here
                     here ^= low
-                    i = low.bit_length() - 1
+                    i = start + low.bit_length() - 1
                     col = cols[i]
                     if col is None:
-                        col = cols[i] = _column(self.faces[i], self.row, self.char)
-                    group.append(col)
-                rank[s - 1] = _rank(group, self.char)
-        return {k: f[k] - rank[k] - rank.get(k + 1, 0) for k in f}
+                        col = cols[i] = _column(faces[i], row, char)
+                    if char == 2:
+                        col &= keep
+                    else:
+                        col = {r: x for r, x in col.items() if keep >> r & 1}
+                    if col:
+                        group.append(col)
+                rank[s - 1] = _rank(group, char)
+            keep = ~((star & span) >> start)
+        return {k: f[k] - rank[k] - rank[k + 1] for k in range(top)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +234,38 @@ def _hochster_entries(
 ) -> dict[tuple[int, int], int]:
     """Hochster sums over the nonempty unions W of minimal nonfaces.
 
-    `alive` (a bitset over `_FaceBits.faces`) and `nonfaces` in the walk
-    hold the faces and minimal nonfaces avoiding every excluded vertex; a
-    subtree in which a chosen vertex lies in none of the nonfaces holds only
-    cones (see the module docstring) and is cut.  With `sphere` only
-    |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its complement's
-    entries, a leaf with 2|W| = u has its complement walked as a leaf too,
-    and W = V is the top class.  A cut W spans a cone, so its complement is
-    acyclic as well and owns no entry.
+    `alive` (a bitset over `_FaceBits.faces`) and `live` (over `nonfaces`)
+    in the walk hold the faces and minimal nonfaces avoiding every excluded
+    vertex, and `held` has, per chosen vertex, the bitset of the nonfaces
+    holding it.  A subtree in which a chosen vertex lies in no live nonface
+    holds only cones (see the module docstring) and is cut.  With `sphere`
+    only |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its
+    complement's entries, a leaf with 2|W| = u has its complement walked as
+    a leaf too, and W = V is the top class.  A cut W spans a cone, so its
+    complement is acyclic as well and owns no entry.
     """
     used = cx.used_vertices
     u = len(used)
     largest = u // 2 if sphere else u
     p = u - cx.dim - 1  # a sphere's projective dimension, home of its top class
-    faces = _FaceBits(cx, char)
-    nonfaces = minimal_nonface_masks(cx)
+    faces = _FaceBits(cx, char, largest)
+    nonfaces = _minimal_outside(cx.faces_by_size(), cx.used_mask, largest)
+    bits = [1 << v for v in used]
+    avoid = [faces.avoid[b] for b in bits]
+    holds = [sum(1 << i for i, m in enumerate(nonfaces) if m & b) for b in bits]
     entries: Counter[tuple[int, int]] = Counter()
     if sphere:
         entries[(p, u)] = 1
 
-    def rec(k: int, alive: int, nonfaces: list[int], chosen: int) -> None:
+    def rec(k: int, alive: int, live: int, chosen: int, held: tuple[int, ...]) -> None:
+        # a vertex in no live nonface cannot be chosen, and excluding it
+        # uncovers no chosen vertex
+        while k < u and not live & holds[k]:
+            alive &= avoid[k]
+            k += 1
         if k == u:
-            if chosen:
-                w_size = chosen.bit_count()
+            w_size = len(held)
+            if w_size:
                 for dim, rank in faces.reduced_ranks(chosen, alive).items():
                     if rank:
                         i = w_size - 1 - dim
@@ -230,16 +273,17 @@ def _hochster_entries(
                         if sphere and 2 * w_size < u:
                             entries[(p - i, u - w_size)] += rank
             return
-        bit = 1 << used[k]
-        rest = [m for m in nonfaces if not m & bit]
-        # exclude only while the chosen vertices stay covered, choose only
-        # when a remaining nonface passes through the vertex
-        if chosen & ~reduce(or_, rest, 0) == 0:
-            rec(k + 1, alive & faces.avoid[k], rest, chosen)
-        if len(rest) < len(nonfaces) and chosen.bit_count() < largest:
-            rec(k + 1, alive, nonfaces, chosen | bit)
+        rest = live & ~holds[k]
+        # exclude only while each chosen vertex stays in a live nonface
+        for h in held:
+            if not rest & h:
+                break
+        else:
+            rec(k + 1, alive & avoid[k], rest, chosen, held)
+        if len(held) < largest:
+            rec(k + 1, alive, live, chosen | bits[k], (*held, holds[k]))
 
-    rec(0, (1 << len(faces.faces)) - 1, nonfaces, 0)
+    rec(0, (1 << len(faces.faces)) - 1, (1 << len(nonfaces)) - 1, 0, ())
     return entries
 
 

@@ -13,7 +13,6 @@ from shellball.complexes import (
     build_complex,
     f_from_h,
     iter_bits,
-    mask_of,
     minimal_nonfaces,
     smallest_nonface_size,
 )
@@ -410,11 +409,34 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     assert len(calls) == 10
 
 
-def test_graph_rank_is_vertices_minus_components():
-    # the leaves take rank d_1 as |W| - c(W); check it against the rank of the
-    # explicit incidence matrix over Q, GF(2) and GF(3)
+def check_every_star(cx) -> int:
+    """Compare the ranks of every induced subcomplex relative to the star of
+    each of its vertices with the leafwise oracle, over Q, GF(2) and GF(3);
+    returns the number of (W, v) pairs checked."""
+    faces = [m for s, masks in cx.faces_by_size().items() if s for m in masks]
+    used = cx.used_mask
+    bits = {char: homology._FaceBits(cx, char, len(cx.used_vertices)) for char in (0, 2, 3)}
+    layout = bits[0].faces
+    checked = 0
+    w = used
+    while w:  # every nonempty subset of the used vertices
+        inside = leafwise_levels(m for m in faces if m & ~w == 0)
+        alive = sum(1 << i for i, m in enumerate(layout) if m & ~w == 0)
+        for char, fb in bits.items():
+            want = {k: r for k, r in leafwise_reduced_ranks(inside, char).items() if r}
+            for v in iter_bits(w):
+                got = fb._relative_ranks(w, alive, 1 << v)
+                assert {k: r for k, r in got.items() if r} == want, (cx, w, v, char)
+                checked += 1
+        w = (w - 1) & used
+    return checked
+
+
+def test_star_relative_ranks_of_random_graphs():
+    # a leaf ranks its faces relative to one vertex star, edges included;
+    # check every induced subgraph relative to each of its vertices
     rng = random.Random(26)
-    kinds = Counter()
+    checked = 0
     for _ in range(400):
         n = rng.randint(1, 10)
         density = rng.choice([0.2, 0.5, 0.8])
@@ -425,18 +447,14 @@ def test_graph_rank_is_vertices_minus_components():
             for a, b in combinations(range(n), 2)
             if (a < cut) == (b < cut) and rng.random() < density
         ]
-        cx = build_complex(edges + [{v} for v in range(n)], n)
-        w = rng.choice([(1 << n) - 1, rng.randint(1, (1 << n) - 1)])
-        vertices = [1 << v for v in iter_bits(w)]
-        inside = [m for m in map(mask_of, edges) if m & ~w == 0]
-        c = homology._FaceBits(cx, 0).components(w)
-        assert c == component_count(vertices, inside)
-        for char in (0, 2, 3):
-            assert boundary_rank(vertices, inside, char) == len(vertices) - c, (edges, w)
-        isolated = any(not any(m & v for m in inside) for v in vertices)
-        kinds[c > 1, isolated] += 1
-    # connected and disconnected graphs, with and without isolated vertices
-    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+        checked += check_every_star(build_complex(edges + [{v} for v in range(n)], n))
+    assert checked > 100_000, checked
+
+
+@given(pure_complexes(max_n=8))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_star_relative_ranks_of_random_complexes(cx):
+    assert check_every_star(cx) >= 3 * len(cx.used_vertices)
 
 
 def test_columns_are_built_only_for_faces_the_leaves_read(monkeypatch):
@@ -448,19 +466,42 @@ def test_columns_are_built_only_for_faces_the_leaves_read(monkeypatch):
         return original(face, *args)
 
     monkeypatch.setattr(homology, "_column", column)
-    leaves = spy_leaves(monkeypatch)
+    stars = []  # (W, v) of every leaf
+    relative = homology._FaceBits._relative_ranks
+
+    def relative_ranks(self, w, alive, v):
+        stars.append((w, v))
+        return relative(self, w, alive, v)
+
+    monkeypatch.setattr(homology._FaceBits, "_relative_ranks", relative_ranks)
     bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
-    faces = [f for size, masks in bd.faces_by_size().items() if size >= 2 for f in masks]
+    lattice = {f for masks in bd.faces_by_size().values() for f in masks}
+    faces = [f for f in lattice if f.bit_count() >= 2]
     assert len(faces) == 2786
     for sphere in (False, True):
         built.clear()
-        leaves.clear()
+        stars.clear()
         hochster_betti_table(bd, sphere=sphere)
-        # edges are ranked in closed form; every larger face inside a leaf is read
-        read = {f for f in faces if f.bit_count() >= 3 and any(f & ~w == 0 for w in leaves)}
+        # a face F of W lies in the star of v iff F + v is a face
+        read = {f for f in faces for w, v in stars if f & ~w == 0 and f | v not in lattice}
         assert sorted(built) == sorted(read)
     # the full walk reads W = V; the duality walk stops at |W| = 6
     assert len(built) < len(faces) // 10, len(built)
+
+
+def test_star_walk_ranks_few_columns(monkeypatch):
+    # 26,079 columns before the leaves ranked relative to a vertex star
+    columns = []
+
+    def rank(cols):
+        columns.append(len(cols))
+        return rank_gf2_columns(cols)
+
+    monkeypatch.setattr(homology, "rank_gf2_columns", rank)
+    ball, order = path_complex(MinorSpec.diagonal(3, 5, 1))
+    assert verify_ball(ball, order).ok
+    hochster_betti_table(boundary_complex(ball), field=2, sphere=True)
+    assert 0 < sum(columns) <= 7000, sum(columns)
 
 
 def _certified_balls(lo: int, hi: int):
