@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -253,3 +255,53 @@ def test_ridge_table_matches_pairwise_oracle(cx, orders):
     for order in orders:
         want = pairwise_antichain_shelling(cx, order).to_json_dict()
         assert verify_shelling(cx, order).to_json_dict() == want
+
+
+def pinned_ball_case(name):
+    """The complex and facet order behind one pinned certificate digest."""
+    kind, *rest = name.split()
+    if kind == "minor":
+        m, n, r, which = rest
+        spec = MinorSpec.diagonal(int(m), int(n), int(r))
+        fams = enumerate_facets(spec)
+        cx, order = path_complex(spec, fams)
+        if which == "shuffled":
+            return cx, random.Random(0).sample(order, len(order))
+        if which != "canonical":
+            pos = {mask: k for k, mask in enumerate(cx.facets)}
+            (ext,) = random_shelling_orders(fams, 1, int(which.removeprefix("seed")))
+            order = [pos[fam.mask] for fam in ext]
+        return cx, order
+    if kind == "polar":
+        return power_ideal_complex(4, 3)
+    if kind == "crowded":  # three triangles on one edge
+        return build_complex([{0, 1, 2}, {0, 1, 3}, {0, 1, 4}], 5), [0, 1, 2]
+    # the last facet glues along {1, 2} only, and R = {0} lies in the facet {0, 3, 4}
+    cx = build_complex([{1, 2, 3}, {2, 3, 4}, {0, 3, 4}, {0, 1, 2}], 5)
+    return cx, [cx.facets.index(mask_of(f)) for f in [(1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 2)]]
+
+
+BALL_DIGESTS = {
+    "minor 4 5 2 canonical": "3d637bf3720b5ff3d2b5030e781bd254295832598631cdc4fbd11e145db5912e",
+    "minor 4 5 2 seed0": "9c9e40e60462535aac337e77613a264d1a34db95d0080189e93ee86edc309e76",
+    "minor 4 5 2 seed7": "3ed8c5f31626a19354f4e02a68e084ca8afbcf2bcf7d824192337fdabdfd649e",
+    "minor 5 6 2 canonical": "66446606953cd042a8fd7fca2113c57f75f7c9003ea95c84786acf742d48e4dc",
+    "minor 5 6 2 seed0": "45fcd5bc26ba8309553a5ad1d9ee2dde404d0a6ac8363030f05ff2fffe6250a3",
+    "minor 5 6 2 seed7": "a6499b08e488406d0577ae700402559e2087e73d12708f1d554fac5bc35c3b4a",
+    "minor 5 7 1 canonical": "9b293fa575965618207715a93b3cc654b65884a7063e52a109fe436b949e77bc",
+    "minor 5 7 1 seed0": "7704cf265279b170b266d14ef160a15c126948c3e4a830894d7c2a9d599bba1d",
+    "minor 5 7 1 seed7": "58bbbb4a7eaf3d040659ccbbb5456c318db33b5b565c39d7a5a1c1e15b93d9c3",
+    "polar 4 3": "4168761b1a0696adb1d1516b3665b6a823d8c7ace5282d3eed247476a33aca9f",
+    "crowded": "013b40e1a943d0913da4027a60e444de914cee18ef97ec796e5f942635de47af",
+    "restriction face in an earlier facet": "be0fca66ba45f9d423c7c1130e0e02448454d06ff04712f11f0b4254af078d26",
+    "minor 4 5 2 shuffled": "6492083999951cf0cf3df9dc0ec3e963f3b836ccdd0df170a0a3a1553ac84044",
+}
+
+
+@pytest.mark.parametrize("name, digest", BALL_DIGESTS.items(), ids=list(BALL_DIGESTS))
+def test_ball_certificate_json_pinned(name, digest):
+    # the serialised certificate, glued ridges included, pinned by the
+    # sha256 of its compact JSON
+    cx, order = pinned_ball_case(name)
+    text = json.dumps(verify_ball(cx, order).to_json_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
