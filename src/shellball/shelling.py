@@ -10,13 +10,17 @@ exactly one earlier facet and that at least one ridge of the new facet is
 left unglued; gluing along all ridges would close the complex up to a
 sphere or worse.
 
-The certificate is read off a ridge table built as the order is walked:
-each ridge of an earlier facet maps to the increasing positions of the
-facets holding it, and each vertex to the bitset of earlier positions
-holding it.  A step then takes d lookups for its glued ridges, their
-holders and R_i, and one AND of |R_i| bitsets for "R_i lies in no earlier
-facet".  Only a failing step intersects the new facet with every earlier
-facet, to name the reason.
+The walk keeps one int per distinct ridge of the facets seen so far: the
+position of the first facet holding it, stored as its complement once a
+later facet glues along it.  Meeting a complemented ridge again means it
+lies in two or more earlier facets, which happens only in a
+non-pseudomanifold; that step is crowded.  Each vertex also maps to the
+bitset of earlier positions holding it, so "R_i lies in no earlier facet"
+is one AND of |R_i| bitsets.  A step records its facet, R_i as a vertex
+mask, its glued ridges' first holders and the crowded flag, and its
+`GluedRidge` list is built from that record only when read; a crowded step
+rescans the earlier facets for it.  Only a failing step intersects the new
+facet with every earlier facet, to name the reason.
 
 A passing certificate also determines the h-vector and the minimal inside
 faces, so neither needs the face lattice.  The glued ridges of step i are
@@ -24,12 +28,13 @@ the F_i - v for v in R_i, so |R_i| is their number and h_k counts the steps
 with k of them (Stanley, CCA III.2; the first facet has R_0 empty).  The
 interior faces of a shelled ball split into the intervals [F_i - R_i, F_i],
 and F_i - R_i is the intersection of the glued ridges, so the minimal inside
-faces are the minimal sets among those intersections and the first facet.
+faces are the minimal sets among those cores and the first facet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import SimplicialComplex, minimal_masks, vertices_of
 
@@ -45,9 +50,26 @@ class GluedRidge:
 
 @dataclass
 class ShellingStep:
+    """Step ``position`` of a shelling: facet ``facet_index`` glued along F_i - v for v in R_i."""
+
     position: int
     facet_index: int
-    glued: list[GluedRidge] = field(default_factory=list)
+    restriction: int  # R_i, as a vertex mask
+    holders: tuple[int, ...]  # first earlier position holding each glued ridge, in ridge order
+    crowded: bool  # some glued ridge lies in two or more earlier facets
+    ordered: list[int] = field(repr=False)  # the facet masks in shelling order
+
+    @cached_property
+    def glued(self) -> list[GluedRidge]:
+        """The glued ridges in increasing mask order, each with its earlier holders."""
+        ordered, i = self.ordered, self.position
+        # a larger v leaves a smaller ridge mask
+        ridges = [ordered[i] ^ (1 << v) for v in reversed(vertices_of(self.restriction))]
+        if self.crowded:
+            return [
+                GluedRidge(r, tuple(k for k in range(i) if r & ~ordered[k] == 0)) for r in ridges
+            ]
+        return [GluedRidge(r, (k,)) for r, k in zip(ridges, self.holders)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,20 +143,28 @@ def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
     """Check that the given facet order is a shelling, step by step."""
     order = _check_order(cx, order)
     ordered = [cx.facets[k] for k in order]
-    holders: dict[int, list[int]] = {}  # ridge of an earlier facet -> its holders' positions
+    first: dict[int, int] = {}  # ridge -> first holder's position, complemented once glued
     earlier = [0] * cx.n  # per vertex, the bitset of positions of earlier facets holding it
     steps: list[ShellingStep] = []
     for i, fi in enumerate(ordered):
         # for points the ridge is the empty face, glued to every earlier facet
-        glued = []
+        restriction, holders, crowded = 0, [], False
         common = -1  # earlier facets holding R_i; an empty R_i lies in all of them
-        for v in reversed(vertices_of(fi)):  # a larger v leaves a smaller ridge mask
-            ridge = fi ^ (1 << v)
-            held = holders.setdefault(ridge, [])
-            if held:
-                glued.append(GluedRidge(ridge=ridge, in_earlier=tuple(held)))
+        rest = fi
+        while rest:  # from the top vertex down, so ridges come in increasing mask order
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
+            ridge = fi ^ bit
+            k = first.setdefault(ridge, i)
+            if k != i:
+                if k < 0:
+                    k, crowded = ~k, True
+                else:
+                    first[ridge] = ~k
+                restriction |= bit
+                holders.append(k)
                 common &= earlier[v]
-            held.append(i)
             earlier[v] |= 1 << i
         if not i:
             continue
@@ -143,7 +173,7 @@ def verify_shelling(cx: SimplicialComplex, order) -> ShellingCertificate:
             return ShellingCertificate(
                 order, steps, ok=False, failed_step=i, reason=_failure_reason(fi, inters)
             )
-        steps.append(ShellingStep(position=i, facet_index=order[i], glued=glued))
+        steps.append(ShellingStep(i, order[i], restriction, tuple(holders), crowded, ordered))
     return ShellingCertificate(order, steps, ok=True)
 
 
@@ -156,19 +186,18 @@ def verify_ball(cx: SimplicialComplex, order) -> BallCertificate:
         )
     facets = cx.facets
     for step in shell.steps:
-        size = facets[step.facet_index].bit_count()
-        for g in step.glued:
-            if len(g.in_earlier) != 1:
-                return BallCertificate(
-                    shell,
-                    ok=False,
-                    failed_step=step.position,
-                    reason=(
-                        f"glued ridge {vertices_of(g.ridge)} lies in "
-                        f"{len(g.in_earlier)} earlier facets (want exactly 1)"
-                    ),
-                )
-        if len(step.glued) >= size:
+        if step.crowded:
+            g = next(g for g in step.glued if len(g.in_earlier) != 1)
+            return BallCertificate(
+                shell,
+                ok=False,
+                failed_step=step.position,
+                reason=(
+                    f"glued ridge {vertices_of(g.ridge)} lies in "
+                    f"{len(g.in_earlier)} earlier facets (want exactly 1)"
+                ),
+            )
+        if step.restriction.bit_count() >= facets[step.facet_index].bit_count():
             return BallCertificate(
                 shell,
                 ok=False,
@@ -184,7 +213,7 @@ def certified_h(cx: SimplicialComplex, shell: ShellingCertificate) -> tuple[int,
         raise ValueError("h-vector needs a passing shelling certificate")
     h = [1] + [0] * (cx.dim + 1)
     for step in shell.steps:
-        h[len(step.glued)] += 1
+        h[step.restriction.bit_count()] += 1
     return tuple(h)
 
 
@@ -194,9 +223,5 @@ def certified_inside_faces(cx: SimplicialComplex, cert: BallCertificate) -> list
         raise ValueError("inside faces need a passing ball certificate")
     shell = cert.shelling
     bottoms = {cx.facets[shell.order[0]]}
-    for step in shell.steps:
-        core = cx.facets[step.facet_index]
-        for g in step.glued:
-            core &= g.ridge
-        bottoms.add(core)
+    bottoms.update(cx.facets[step.facet_index] & ~step.restriction for step in shell.steps)
     return [vertices_of(m) for m in minimal_masks(bottoms)]

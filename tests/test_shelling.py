@@ -1,12 +1,21 @@
 import hashlib
 import json
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellball.complexes import boundary_complex, build_complex, mask_of, vertices_of
+from shellball.bounds import check_conjecture
+from shellball.complexes import (
+    boundary_complex,
+    build_complex,
+    mask_of,
+    minimal_masks,
+    vertices_of,
+)
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, random_shelling_orders
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import (
@@ -38,7 +47,6 @@ def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
             if m or size == 1:
                 inters.setdefault(m, []).append(k)
         maximal = [m for m in inters if not any(m != g and m & ~g == 0 for g in inters)]
-        step = ShellingStep(position=i, facet_index=order[i])
         if not maximal:
             return ShellingCertificate(
                 order, steps, ok=False, failed_step=i, reason="empty intersection with earlier facets"
@@ -55,9 +63,19 @@ def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
                     f"{size - bad[0].bit_count()} (want 1)"
                 ),
             )
+        glued = []
         for m in sorted(maximal):
             containing = tuple(k for k in range(i) if m & ~facets[order[k]] == 0)
-            step.glued.append(GluedRidge(ridge=m, in_earlier=containing))
+            glued.append(GluedRidge(ridge=m, in_earlier=containing))
+        step = ShellingStep(
+            i,
+            order[i],
+            restriction=fi & ~reduce(and_, maximal),
+            holders=tuple(g.in_earlier[0] for g in glued),
+            crowded=any(len(g.in_earlier) > 1 for g in glued),
+            ordered=[facets[k] for k in order],
+        )
+        step.glued = glued  # serialise the oracle's own ridges, not ones rebuilt from the record
         steps.append(step)
     return ShellingCertificate(order, steps, ok=True)
 
@@ -221,6 +239,45 @@ def test_verify_shelling_matches_pairwise_oracle(case):
     assert verify_shelling(cx, order).to_json_dict() == want
 
 
+def pairwise_antichain_ball(cx, order):
+    """Oracle: the ball check read off `pairwise_antichain_shelling`'s glued
+    ridges, as (ok, failed_step, reason, shelling certificate)."""
+    shell = pairwise_antichain_shelling(cx, order)
+    if not shell.ok:
+        return False, shell.failed_step, f"not a shelling: {shell.reason}", shell
+    for step in shell.steps:
+        for g in step.glued:
+            if len(g.in_earlier) != 1:
+                reason = (
+                    f"glued ridge {vertices_of(g.ridge)} lies in "
+                    f"{len(g.in_earlier)} earlier facets (want exactly 1)"
+                )
+                return False, step.position, reason, shell
+        if len(step.glued) >= cx.facets[step.facet_index].bit_count():
+            return False, step.position, "all ridges glued: closes to a sphere or worse", shell
+    return True, None, None, shell
+
+
+@given(st.one_of(ordered_pure_complexes(), ridge_walks(), near_shelling_orders()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_verify_ball_matches_pairwise_oracle(case):
+    cx, order = case
+    ok, failed_step, reason, shell = pairwise_antichain_ball(cx, order)
+    cert = verify_ball(cx, order)
+    assert (cert.ok, cert.failed_step, cert.reason) == (ok, failed_step, reason)
+    if not ok:
+        return
+    # h_k counts the steps with k glued ridges; the cores are the
+    # intersections of each step's glued ridges
+    h = [1] + [0] * (cx.dim + 1)
+    bottoms = {cx.facets[order[0]]}
+    for step in shell.steps:
+        h[len(step.glued)] += 1
+        bottoms.add(reduce(and_, (g.ridge for g in step.glued), cx.facets[step.facet_index]))
+    assert certified_h(cx, cert.shelling) == tuple(h)
+    assert certified_inside_faces(cx, cert) == [vertices_of(m) for m in minimal_masks(bottoms)]
+
+
 def oracle_orders(order):
     """The given order, a shuffled one and the reversed one."""
     order = list(order)
@@ -305,3 +362,29 @@ def test_ball_certificate_json_pinned(name, digest):
     cx, order = pinned_ball_case(name)
     text = json.dumps(verify_ball(cx, order).to_json_dict(), separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_check_path_builds_no_glued_ridges(monkeypatch):
+    # `check` and `verify_ball` read |R_i| and F_i - R_i off each step; the
+    # glued ridges are built only when a caller reads them
+    built = []
+    init = GluedRidge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GluedRidge, "__init__", counting_init)
+    for cx, order in [path_complex(MinorSpec.diagonal(4, 5, 2)), power_ideal_complex(4, 3)]:
+        assert check_conjecture(cx, order).verdict == "PASS"
+    spec = MinorSpec.diagonal(5, 6, 2)
+    fams = enumerate_facets(spec)
+    cx, _ = path_complex(spec, fams)
+    pos = {mask: k for k, mask in enumerate(cx.facets)}
+    certs = [
+        verify_ball(cx, [pos[fam.mask] for fam in ext])
+        for ext in random_shelling_orders(fams, 6, seed=0)
+    ]
+    assert all(cert.ok for cert in certs)
+    assert built == []
+    assert len(certs[0].shelling.steps[0].glued) == len(built) > 0
