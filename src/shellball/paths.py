@@ -269,10 +269,9 @@ def is_corner_maximal(family: PathFamily, facets: list[PathFamily]) -> bool:
 # facet partial order and shellings
 
 
-def _check_specs(facets: list[PathFamily], spec: MinorSpec | None = None) -> None:
-    """Refuse facets of two minors, or of a minor other than ``spec`` when given,
-    and a facet listed twice (its profile repeats)."""
-    spec = spec or next((f.spec for f in facets), None)
+def _check_specs(facets: list[PathFamily]) -> None:
+    """Refuse facets of two minors and a facet listed twice (its profile repeats)."""
+    spec = next((f.spec for f in facets), None)
     if any(f.spec != spec for f in facets):
         raise ValueError("mismatched specs")
     seen: set[tuple[int, ...]] = set()
@@ -429,7 +428,9 @@ def path_complex(
     """
     if facets is None:
         facets = enumerate_facets(spec)
-    _check_specs(facets, spec)
+    # `shelling_order` refuses facets of another minor than the first, and repeats
+    if facets and facets[0].spec != spec:
+        raise ValueError("mismatched specs")
     masks = [fam.mask for fam in shelling_order(facets)]
     cx = SimplicialComplex(spec.m * spec.n, masks, labels=spec.grid_labels())
     return cx, list(range(len(cx.facets)))

@@ -656,6 +656,19 @@ def test_mixed_specs_are_refused():
     for spec, other in ((large, small), (small, large)):
         with pytest.raises(ValueError, match="^mismatched specs$"):
             path_complex(spec, enumerate_facets(other))
+    with pytest.raises(ValueError, match="^mismatched specs$"):
+        path_complex(MinorSpec.diagonal(2, 3, 1), fams)
+
+
+def test_path_complex_checks_specs_once(monkeypatch):
+    # each profile is hashed once: the repeat check runs inside `shelling_order`
+    calls = []
+    check = paths._check_specs
+    monkeypatch.setattr(paths, "_check_specs", lambda facets: calls.append(check(facets)))
+    spec = MinorSpec.diagonal(3, 4, 1)
+    path_complex(spec)
+    path_complex(spec, enumerate_facets(spec))
+    assert len(calls) == 2
 
 
 def test_canonical_generators_minor23():
