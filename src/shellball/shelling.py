@@ -34,7 +34,6 @@ faces are the minimal sets among those cores and the first facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .complexes import SimplicialComplex, minimal_masks, vertices_of
 
@@ -58,18 +57,30 @@ class ShellingStep:
     holders: tuple[int, ...]  # first earlier position holding each glued ridge, in ridge order
     crowded: bool  # some glued ridge lies in two or more earlier facets
     ordered: list[int] = field(repr=False)  # the facet masks in shelling order
+    _glued: list[GluedRidge] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def glued(self) -> list[GluedRidge]:
-        """The glued ridges in increasing mask order, each with its earlier holders."""
-        ordered, i = self.ordered, self.position
-        # a larger v leaves a smaller ridge mask
-        ridges = [ordered[i] ^ (1 << v) for v in reversed(vertices_of(self.restriction))]
-        if self.crowded:
-            return [
-                GluedRidge(r, tuple(k for k in range(i) if r & ~ordered[k] == 0)) for r in ridges
-            ]
-        return [GluedRidge(r, (k,)) for r, k in zip(ridges, self.holders)]
+        """The glued ridges in increasing mask order, each with its earlier holders.
+
+        Built from the step's record on first read, then kept.
+        """
+        if self._glued is None:
+            ordered, i = self.ordered, self.position
+            fi, rest = ordered[i], self.restriction
+            ridges = []
+            while rest:  # a larger v leaves a smaller ridge mask
+                top = 1 << rest.bit_length() - 1
+                rest ^= top
+                ridges.append(fi ^ top)
+            if self.crowded:
+                self._glued = [
+                    GluedRidge(r, tuple(k for k in range(i) if r & ~ordered[k] == 0))
+                    for r in ridges
+                ]
+            else:
+                self._glued = [GluedRidge(r, (k,)) for r, k in zip(ridges, self.holders)]
+        return self._glued
 
     def to_json_dict(self) -> dict:
         return {

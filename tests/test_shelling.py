@@ -37,6 +37,7 @@ def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
     The empty intersection counts only for points, whose ridge it is."""
     order = tuple(order)
     facets = cx.facets
+    ordered = [facets[k] for k in order]
     steps = []
     for i in range(1, len(order)):
         fi = facets[order[i]]
@@ -73,9 +74,9 @@ def pairwise_antichain_shelling(cx, order) -> ShellingCertificate:
             restriction=fi & ~reduce(and_, maximal),
             holders=tuple(g.in_earlier[0] for g in glued),
             crowded=any(len(g.in_earlier) > 1 for g in glued),
-            ordered=[facets[k] for k in order],
+            ordered=ordered,
         )
-        step.glued = glued  # serialise the oracle's own ridges, not ones rebuilt from the record
+        step._glued = glued  # serialise the oracle's own ridges, not ones rebuilt from the record
         steps.append(step)
     return ShellingCertificate(order, steps, ok=True)
 
