@@ -10,17 +10,16 @@ exactly one earlier facet and that at least one ridge of the new facet is
 left unglued; gluing along all ridges would close the complex up to a
 sphere or worse.
 
-The walk keeps one int per distinct ridge of the facets seen so far: the
-position of the first facet holding it, stored as its complement once a
-later facet glues along it.  Meeting a complemented ridge again means it
-lies in two or more earlier facets, which happens only in a
-non-pseudomanifold; that step is crowded.  Each vertex also maps to the
-bitset of earlier positions holding it, so "R_i lies in no earlier facet"
-is one AND of |R_i| bitsets.  A step records its facet, R_i as a vertex
-mask, its glued ridges' first holders and the crowded flag, and its
-`GluedRidge` list is built from that record only when read; a crowded step
-rescans the earlier facets for it.  Only a failing step intersects the new
-facet with every earlier facet, to name the reason.
+The walk keeps one int per distinct ridge seen so far: the position of the
+first facet holding it, complemented once a later facet glues along it.
+Meeting a complemented ridge again means it lies in two or more earlier
+facets (only in a non-pseudomanifold); that step is crowded.  Each vertex
+maps to the bitset of earlier positions holding it, so "R_i lies in no
+earlier facet" is one AND of |R_i| bitsets.  A step records its facet, R_i
+as a vertex mask, its glued ridges' first holders and the crowded flag;
+its `GluedRidge` list is built from that record only when read, and a
+crowded step rescans the earlier facets for it.  Only a failing step
+intersects the new facet with every earlier facet, to name the reason.
 
 A passing certificate also determines the h-vector and the minimal inside
 faces, so neither needs the face lattice.  The glued ridges of step i are
@@ -61,25 +60,19 @@ class ShellingStep:
 
     @property
     def glued(self) -> list[GluedRidge]:
-        """The glued ridges in increasing mask order, each with its earlier holders.
-
-        Built from the step's record on first read, then kept.
-        """
+        """The glued ridges in increasing mask order, built from the record on first read."""
         if self._glued is None:
             ordered, i = self.ordered, self.position
-            fi, rest = ordered[i], self.restriction
-            ridges = []
+            fi, rest, ridges = ordered[i], self.restriction, []
             while rest:  # a larger v leaves a smaller ridge mask
                 top = 1 << rest.bit_length() - 1
                 rest ^= top
                 ridges.append(fi ^ top)
-            if self.crowded:
-                self._glued = [
-                    GluedRidge(r, tuple(k for k in range(i) if r & ~ordered[k] == 0))
-                    for r in ridges
-                ]
+            if self.crowded:  # rescan the earlier facets for every holder
+                holders = [tuple(k for k in range(i) if r & ~ordered[k] == 0) for r in ridges]
             else:
-                self._glued = [GluedRidge(r, (k,)) for r, k in zip(ridges, self.holders)]
+                holders = [(k,) for k in self.holders]
+            self._glued = list(map(GluedRidge, ridges, holders))
         return self._glued
 
     def to_json_dict(self) -> dict:
