@@ -63,10 +63,27 @@ def _canonical_key(mask: int) -> tuple[int, str]:
 
 
 def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal members of a family of masks, in canonical order."""
+    """Inclusion-minimal members of a family of nonnegative masks, in canonical order.
+
+    The masks are walked in canonical order, and each vertex maps to the
+    bitset of kept positions whose mask holds it.  A kept mask lies inside
+    ``m`` exactly when it avoids every vertex outside ``m``, so ``m`` is
+    kept when the OR of those vertices' bitsets covers every kept position.
+    A mask inside ``m`` other than ``m`` is smaller, so it comes earlier in
+    canonical order: every candidate is kept or dropped before ``m`` is
+    judged.  Maximal masks are the complements of the minimal complements.
+    """
     out: list[int] = []
+    holding: dict[int, int] = {}  # vertex -> bitset of kept positions whose mask holds it
+    used = 0  # union of the kept masks
     for m in sorted(set(masks), key=_canonical_key):
-        if not any(g & ~m == 0 for g in out):
+        leaving = 0  # kept positions whose mask holds a vertex outside m
+        for v in iter_bits(used & ~m):
+            leaving |= holding[v]
+        if leaving.bit_count() == len(out):
+            for v in iter_bits(m):
+                holding[v] = holding.get(v, 0) | 1 << len(out)
+            used |= m
             out.append(m)
     return out
 
@@ -80,19 +97,15 @@ class SimplicialComplex:
         if n < 0 or n > MAX_VERTICES:
             raise ValueError(f"vertex universe capped at {MAX_VERTICES}, got n={n}")
         masks = sorted(set(facet_masks), key=_canonical_key)
-        if max(masks, default=0) >> n:
+        if max(masks, default=0) >> n or min(masks, default=0) < 0:
             raise ValueError("vertex out of range")
-        # drop non-maximal entries; same-size masks never contain one another
-        by_size: dict[int, list[int]] = {}
-        for m in masks:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        keep = []
-        for m in masks:
-            s = m.bit_count()
-            if not any(m & ~g == 0 for t, group in by_size.items() if t > s for g in group):
-                keep.append(m)
+        # keep the maximal masks; same-size masks never contain one another
+        if len({m.bit_count() for m in masks}) > 1:
+            full = (1 << n) - 1
+            complements = minimal_masks(full ^ m for m in masks)
+            masks = sorted((full ^ g for g in complements), key=_canonical_key)
         self.n = n
-        self.facets: tuple[int, ...] = tuple(keep)
+        self.facets: tuple[int, ...] = tuple(masks)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

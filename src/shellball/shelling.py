@@ -135,11 +135,11 @@ def _failure_reason(fi: int, inters: list[int]) -> str:
     intersections are absent or include a non-ridge, so one is found.
     """
     size = fi.bit_count()
-    nonempty = list(dict.fromkeys(m for m in inters if m))
-    maximal = [m for m in nonempty if not any(m != g and m & ~g == 0 for g in nonempty)]
+    # the maximal intersections are the complements in fi of the minimal complements
+    maximal = {fi ^ g for g in minimal_masks(fi ^ m for m in inters if m)}
     if not maximal:
         return "empty intersection with earlier facets"
-    bad = next(m for m in maximal if m.bit_count() != size - 1)
+    bad = next(m for m in inters if m in maximal and m.bit_count() != size - 1)
     return f"intersection face {vertices_of(bad)} has codimension {size - bad.bit_count()} (want 1)"
 
 

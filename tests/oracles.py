@@ -4,19 +4,24 @@ Each one restates a result of the paper in its most direct form: the flip
 move on one path, family flips against corner-maximality, the corner-maximal
 generators of the minimal inside faces, the prefix boundary test, reduced
 homology of a whole complex, face membership by lookup in the face lattice,
-minimal vertex covers by branch and bound, the unused vertices of a
-complex, a facet's row profile read off its points, and the facet walk
-that follows every dead end.  No pipeline stage, CLI command or demo calls
-them; the library computes the same objects from shelling certificates,
-Hochster walks, Berge's transversal step and a walk that keeps room for the
-later paths, and the tests compare the two.  Keeping them here keeps
+minimal vertex covers by branch and bound, inclusion-minimal and -maximal
+masks pair by pair, the h-vector of a minor counted by corners, the unused
+vertices of a complex, a facet's row profile read off its points, and the
+facet walk that follows every dead end.  No pipeline stage, CLI command or
+demo calls them; the library computes the same objects from shelling
+certificates, Hochster walks, Berge's transversal step, a per-vertex
+containment index and a walk that keeps room for the later paths, and the
+tests compare the two.  Keeping them here keeps
 `shellball` to the pipeline and the paper's objects, and keeps each oracle
 apart from the code it checks.
 """
 
 from __future__ import annotations
 
-from shellball.complexes import SimplicialComplex, iter_bits, minimal_masks, vertices_of
+from collections import Counter
+from itertools import product
+
+from shellball.complexes import SimplicialComplex, _canonical_key, iter_bits, vertices_of
 from shellball.homology import _rank, check_field
 from shellball.paths import (
     MinorSpec,
@@ -150,7 +155,34 @@ def branch_and_bound_covers(supports: list[int]) -> list[int]:
         found.add(chosen)
 
     rec(0)
-    return sorted(minimal_masks(found))
+    return sorted(pairwise_minimal_masks(found))
+
+
+# ---------------------------------------------------------------------------
+# inclusion-extreme masks, pair by pair
+
+
+def pairwise_minimal_masks(masks) -> list[int]:
+    """Inclusion-minimal members of a family of masks, in canonical order."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=_canonical_key):
+        if not any(g & ~m == 0 for g in out):
+            out.append(m)
+    return out
+
+
+def pairwise_maximal_masks(masks) -> list[int]:
+    """Inclusion-maximal members of a family of masks, in canonical order."""
+    masks = sorted(set(masks), key=_canonical_key)
+    by_size: dict[int, list[int]] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    keep = []
+    for m in masks:
+        s = m.bit_count()
+        if not any(m & ~g == 0 for t, group in by_size.items() if t > s for g in group):
+            keep.append(m)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +192,37 @@ def branch_and_bound_covers(supports: list[int]) -> list[int]:
 def unused_vertices(cx: SimplicialComplex) -> tuple[int, ...]:
     """Universe members on no facet."""
     return vertices_of(~cx.used_mask & ((1 << cx.n) - 1))
+
+
+def corner_h(spec: MinorSpec) -> tuple[int, ...]:
+    """h-vector of a minor's complex, counting families by corners without listing them.
+
+    A transfer over the rows x = 1..m on the state (L_1(x), ..., L_r(x)) of
+    the `paths` module docstring, a path not yet started standing at column
+    n.  Row x gives path k, once started, every L_k(x) from
+    max(b_k, L_{k-1}(x-1) + 1) up to L_k(x-1), and only b_k in row m.  Path k
+    has a corner in row x > a_k exactly when L_k(x) < L_k(x-1), so each step
+    weighs t^(new corners), and h_k is the number of families with k corners.
+    """
+    m, n = spec.m, spec.n
+    ends = list(zip(spec.rows, spec.cols))
+    counts = Counter({((n,) * spec.r, 0): 1})  # (state, corners so far) -> partial families
+    for x in range(1, m + 1):
+        step: Counter = Counter()
+        for (prev, corners), ways in counts.items():
+            choices = []
+            for k, (a, b) in enumerate(ends):
+                low = max(b, prev[k - 1] + 1) if k else b
+                high = prev[k] if x < m else min(prev[k], b)
+                choices.append(range(low, high + 1) if x >= a else (n,))
+            for cur in product(*choices):
+                new = sum(a < x and c < p for (a, _), c, p in zip(ends, cur, prev))
+                step[cur, corners + new] += ways
+        counts = step
+    h: Counter = Counter()
+    for (_, corners), ways in counts.items():
+        h[corners] += ways
+    return tuple(h[k] for k in range(spec.facet_size + 1))
 
 
 def profile_of(paths) -> tuple[int, ...]:

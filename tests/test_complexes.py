@@ -23,6 +23,7 @@ from shellball.complexes import (
     h_vector,
     mask_of,
     minimal_inside_faces,
+    minimal_masks,
     minimal_nonface_masks,
     minimal_nonfaces,
     multiplicity,
@@ -33,7 +34,7 @@ from shellball.complexes import (
 from shellball.duality import alexander_dual, minimal_vertex_covers
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
-from tests.oracles import unused_vertices
+from tests.oracles import pairwise_maximal_masks, pairwise_minimal_masks, unused_vertices
 
 # the 2x3 maximal-minor complex, facets frozen from the three path families
 MINOR23 = [(0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)]
@@ -76,6 +77,50 @@ def test_simplicial_complex_input_errors():
         SimplicialComplex(2, [3], ["a"])
     with pytest.raises(ValueError, match="labels must be distinct"):
         SimplicialComplex(2, [3], ["a", "a"])
+
+
+def test_simplicial_complex_refuses_negative_masks():
+    # a negative int has endless set bits, so no walk over its vertices would end
+    for masks in ([-2, 4], [-2, 5], [3, -8], [-1]):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            SimplicialComplex(3, masks)
+
+
+def mask_families():
+    """The empty family, then seeded random families with duplicates, the
+    mask 0 and masks on vertex 127 among them."""
+    rng = random.Random(34)
+    yield []
+    for _ in range(400):
+        width = rng.choice((3, 6, 12, 128))
+        family = [
+            mask_of(rng.sample(range(width), rng.randint(0, min(width, 6))))
+            for _ in range(rng.randint(1, 40))
+        ]
+        family += rng.choices(family, k=rng.randint(0, 5))
+        if rng.random() < 0.2:
+            family.append(0)
+        if width == 128:
+            family += [g | 1 << 127 for g in rng.choices(family, k=3)]
+        yield family
+
+
+def test_minimal_masks_match_the_pairwise_oracle():
+    for family in mask_families():
+        assert minimal_masks(family) == pairwise_minimal_masks(family), family
+
+
+def test_constructor_keeps_the_pairwise_maximal_masks():
+    rng = random.Random(21)
+    for pure in (True, False):
+        for _ in range(300):
+            n = rng.choice((1, 4, 8, 128))
+            sizes = [rng.randint(0, min(n, 6))] if pure else range(min(n, 6) + 1)
+            masks = [
+                mask_of(rng.sample(range(n), rng.choice(sizes))) for _ in range(rng.randint(1, 30))
+            ]
+            cx = SimplicialComplex(n, masks)
+            assert cx.facets == tuple(pairwise_maximal_masks(masks)), (n, masks)
 
 
 def test_canonical_order_is_size_then_lex():

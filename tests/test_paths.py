@@ -43,6 +43,7 @@ from tests.oracles import (
     admits_family_flip,
     boundary_via_corners,
     canonical_generators,
+    corner_h,
     flip,
     is_face,
     profile_of,
@@ -568,15 +569,22 @@ def test_pipeline_builds_no_facet_order(monkeypatch, tmp_path):
 def test_minor_ball_boundaries_shell_in_canonical_order():
     # the boundary sphere of every certified minor ball shells in the order
     # its complex stores, and that shelling gives the ball's boundary h-vector;
-    # polar boundaries are left out, as their canonical order does not shell
+    # each step's restriction face is its facet's corner set, and the ball's
+    # h-vector is the corner count that the row transfer gives; polar
+    # boundaries are left out, as their canonical order does not shell
     for spec in MINORS_4_5:
-        cx, order = path_complex(spec)
+        facets = enumerate_facets(spec)
+        cx, order = path_complex(spec, facets)
         cert = verify_ball(cx, order)
         assert cert.ok, spec_id(spec)
+        restrictions = [0] + [step.restriction for step in cert.shelling.steps]
+        corners = [mask_of(map(spec.vertex_index, f.corners)) for f in facets]
+        assert restrictions == corners, spec_id(spec)
         bd = boundary_complex(cx)
         shell = verify_shelling(bd, list(range(len(bd.facets))))
         assert shell.ok, spec_id(spec)
         h = certified_h(cx, cert.shelling)
+        assert corner_h(spec) == h, spec_id(spec)
         assert certified_h(bd, shell) == boundary_h_from_h(h), spec_id(spec)
 
 

@@ -27,6 +27,7 @@ from shellball.shelling import (
     verify_ball,
     verify_shelling,
 )
+from tests.oracles import pairwise_minimal_masks
 from tests.test_complexes import MINOR23
 from tests.test_properties import pure_complexes
 
@@ -276,7 +277,21 @@ def test_verify_ball_matches_pairwise_oracle(case):
         h[len(step.glued)] += 1
         bottoms.add(reduce(and_, (g.ridge for g in step.glued), cx.facets[step.facet_index]))
     assert certified_h(cx, cert.shelling) == tuple(h)
-    assert certified_inside_faces(cx, cert) == [vertices_of(m) for m in minimal_masks(bottoms)]
+    assert certified_inside_faces(cx, cert) == [
+        vertices_of(m) for m in pairwise_minimal_masks(bottoms)
+    ]
+
+
+def test_minimal_cores_of_a_large_ball_match_the_pairwise_oracle():
+    # the (6,7,2) ball: one core F_i - R_i per facet, 883 of them minimal
+    cx, order = path_complex(MinorSpec.diagonal(6, 7, 2))
+    shell = verify_ball(cx, order).shelling
+    cores = [cx.facets[order[0]]]
+    cores += [cx.facets[step.facet_index] & ~step.restriction for step in shell.steps]
+    assert len(set(cores)) == 5292
+    minimal = minimal_masks(cores)
+    assert len(minimal) == 883
+    assert minimal == pairwise_minimal_masks(cores)
 
 
 def oracle_orders(order):

@@ -101,3 +101,26 @@ def test_every_export_has_a_non_test_reader():
     read.update(name for names in traced.values() for name in names)
     unread = [name for name in shellball.__all__ if name not in read]
     assert not unread, f"exports read only by the tests: {unread}"
+
+
+def _unused_imports(tree):
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_no_unused_imports():
+    # an import the module never reads is left over from code since removed
+    found = []
+    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert not found, f"unused imports in the library: {found}"
