@@ -412,21 +412,17 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     """Inclusion-minimal faces of the complex not lying on its boundary.
 
     These index the generators of the canonical ideal of a ball; their
-    cardinalities are the generator degrees.  They are the faces off the
-    boundary whose codimension-one subsets all lie on it.
+    cardinalities are the generator degrees.  A face off the boundary whose
+    proper subsets all lie on it is a minimal nonface of the boundary, so
+    they are the boundary's minimal nonfaces that lie in a facet, and only
+    the boundary's lattice is built.
     """
     boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
-    # a nonempty boundary holds the empty face, so every face checked has size k >= 1
-    on_boundary = boundary.faces_by_size()
-    out = [
-        g
-        for k, faces in cx.faces_by_size().items()
-        for g in faces - on_boundary.get(k, set())
-        if all((g ^ (1 << v)) in on_boundary[k - 1] for v in iter_bits(g))
-    ]
-    return [vertices_of(m) for m in sorted(out, key=_canonical_key)]
+    minimal = _minimal_outside(boundary.faces_by_size(), cx.used_mask)
+    inside = [g for g in minimal if any(g & ~f == 0 for f in cx.facets)]
+    return [vertices_of(m) for m in sorted(inside, key=_canonical_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,13 @@ def minimal_vertex_covers(supports: list[int]) -> list[int]:
     stay, each other one is extended by every vertex of that support, and
     the results are cut back to the inclusion-minimal ones.  The empty
     family has the one cover 0; a family holding the empty support has none.
+    A negative support mask holds no finite vertex set and raises ValueError.
     """
+    supports = sorted(set(supports))
+    if supports and supports[0] < 0:
+        raise ValueError(f"vertex out of range: support mask {supports[0]} is negative")
     covers = [0]
-    for s in sorted(set(supports)):
+    for s in supports:
         covers = minimal_masks(
             [c for c in covers if c & s]
             + [c | 1 << v for c in covers if not c & s for v in iter_bits(s)]

@@ -1,10 +1,16 @@
 """Exact rank of sparse integer matrices over Q, GF(2) and GF(p).
 
 Columns are reduced against stored pivots by their largest remaining row
-index, the standard sparse column reduction.  Over Q the elimination is
-fraction-free: columns are combined by integer cross-multiplication and
-re-normalized by their gcd, so no rationals are ever materialized and the
-rank is exact.  Over GF(2) columns are plain bit masks combined by xor.
+index, the standard sparse column reduction.  Over Q and over GF(p) for
+any prime p the elimination is one fraction-free loop: a column whose
+largest row holds a pivot becomes ``a*col - b*piv``, with ``a`` the
+pivot's entry and ``b`` the column's entry at that row, which clears the
+row over Z and over Z/p alike.  Only the normal form the column is then
+put in depends on the ring: over Q it is divided by the gcd of its
+entries, so no rationals are ever materialized and the rank is exact;
+over GF(p) its entries are reduced mod p and the zeros dropped, so every
+pivot entry is a unit.  Over GF(2) columns are plain bit masks combined
+by xor.
 """
 
 from __future__ import annotations
@@ -28,28 +34,34 @@ def rank_gf2_columns(columns: Iterable[int]) -> int:
     return rank
 
 
-def _normalize(col: dict[int, int]) -> dict[int, int]:
+def _normalize(col: dict[int, int], p: int) -> dict[int, int]:
+    """The column without zero entries, reduced mod p over Z/p and divided
+    by the gcd of its entries over Z."""
+    if p:
+        return {r: w for r, v in col.items() if (w := v % p)}
     g = 0
     for v in col.values():
         g = gcd(g, v)
         if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
+            if 0 not in col.values():
+                return col
+            break
+    # g is 0 only when every entry is, and then nothing is divided
+    return {r: v // g for r, v in col.items() if v}
 
 
-def rank_int_columns(columns: Iterable[dict[int, int]]) -> int:
-    """Rank over Q of columns given as sparse {row: integer} dicts."""
+def rank_int_columns(columns: Iterable[dict[int, int]], p: int = 0) -> int:
+    """Rank of columns given as sparse {row: integer} dicts, over Q when p
+    is 0 and over GF(p), p prime, otherwise."""
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for col in columns:
-        col = {r: v for r, v in col.items() if v}
+        col = _normalize(col, p)
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                pivots[low] = _normalize(col)
+                pivots[low] = col
                 rank += 1
                 break
             a, b = piv[low], col[low]
@@ -60,30 +72,5 @@ def rank_int_columns(columns: Iterable[dict[int, int]]) -> int:
                     new[r] = w
                 elif r in new:
                     del new[r]
-            col = _normalize(new)
-    return rank
-
-
-def rank_modp_columns(columns: Iterable[dict[int, int]], p: int) -> int:
-    """Rank over GF(p), p prime, of sparse integer columns."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in columns:
-        col = {r: v % p for r, v in col.items() if v % p}
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                rank += 1
-                break
-            factor = col[low] * pow(piv[low], p - 2, p) % p
-            new = dict(col)
-            for r, v in piv.items():
-                w = (new.get(r, 0) - factor * v) % p
-                if w:
-                    new[r] = w
-                elif r in new:
-                    del new[r]
-            col = new
+            col = _normalize(new, p)
     return rank

@@ -3,8 +3,9 @@
 Betti numbers of a Stanley-Reisner quotient come from Hochster's formula:
 beta_{i,j} for i >= 1 is the sum over vertex subsets W of size j of the
 reduced homology rank of the induced subcomplex in dimension j-i-1, and
-beta_{0,0} = 1.  Homology ranks come from exact boundary-matrix ranks
-(fraction-free over Q, elimination over GF(p)).
+beta_{0,0} = 1.  Homology ranks come from exact boundary-matrix ranks: one
+fraction-free elimination over Q and every odd GF(p), xor of bit masks over
+GF(2).
 
 Only the unions of minimal nonfaces are summed (the support of the lcm
 lattice).  If some vertex x of W lies in no minimal nonface inside W, then
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .complexes import SimplicialComplex, _minimal_outside, _neighbours, iter_bits
-from .exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
+from .exactrank import rank_gf2_columns, rank_int_columns
 
 DEFAULT_VERTEX_CAP = 16
 
@@ -78,9 +79,7 @@ def check_field(char: int) -> int:
 def _rank(columns: list, char: int) -> int:
     if char == 2:
         return rank_gf2_columns(columns)
-    if char == 0:
-        return rank_int_columns(columns)
-    return rank_modp_columns(columns, char)
+    return rank_int_columns(columns, char)
 
 
 def _column(face: int, row: dict[int, int], char: int):

@@ -93,6 +93,13 @@ def test_minimal_vertex_covers_simple():
     assert minimal_vertex_covers([mask_of([0, 1]), 0]) == []
 
 
+def test_minimal_vertex_covers_refuse_a_negative_support():
+    # a negative mask has infinitely many bits, so the transversal step never ended
+    for supports in ([-2], [mask_of([0, 1]), -2, 5]):
+        with pytest.raises(ValueError, match="support mask -2 is negative"):
+            minimal_vertex_covers(supports)
+
+
 def cover_families():
     """The empty family, an empty support, then seeded random families on at
     most 9 vertices, some with a duplicate or a nested support added."""

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
+from shellball.exactrank import rank_gf2_columns, rank_int_columns
 
 
 def dense_rank_oracle(rows, char=0):
@@ -57,7 +57,8 @@ def test_known_small_matrices():
     twos = [[2]]
     assert rank_int_columns(int_columns(twos)) == 1
     assert rank_gf2_columns(gf2_columns(twos)) == 0
-    assert rank_modp_columns(int_columns(twos), 3) == 1
+    assert rank_int_columns(int_columns(twos), 3) == 1
+    assert rank_int_columns(int_columns(twos), 2) == 0
 
 
 def test_needs_nonunit_pivots():
@@ -68,19 +69,32 @@ def test_needs_nonunit_pivots():
 
 
 def test_random_matrices_against_dense_oracle():
+    # entries up to +-50, with columns that vanish mod p and repeated columns,
+    # so the GF(p) normal form meets entries it must reduce and drop
     rng = random.Random(42)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+    primes = (2, 3, 5, 7, 13)
+    for _ in range(120):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-50, 50) for _ in range(nc)] for _ in range(nr)]
+        q = rng.choice(primes)
+        for j in range(nc):
+            kind = rng.random()
+            if kind < 0.2:
+                for row in rows:
+                    row[j] = q * rng.randint(-(50 // q), 50 // q)
+            elif kind < 0.4 and j:
+                src = rng.randrange(j)
+                for row in rows:
+                    row[j] = row[src]
         cols = int_columns(rows)
-        assert rank_int_columns(cols) == dense_rank_oracle(rows), rows
+        assert rank_int_columns(cols) == rank_int_columns(cols, 0) == dense_rank_oracle(rows), rows
         assert rank_gf2_columns(gf2_columns(rows)) == dense_rank_oracle(rows, 2), rows
-        for p in (3, 5):
-            assert rank_modp_columns(cols, p) == dense_rank_oracle(rows, p), (rows, p)
+        for p in primes:
+            assert rank_int_columns(cols, p) == dense_rank_oracle(rows, p), (rows, p)
 
 
 def test_column_interfaces():
     assert rank_gf2_columns([0b011, 0b110, 0b101]) == 2
     assert rank_int_columns([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]) == 2
-    assert rank_modp_columns([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2) == 2
-    assert rank_modp_columns([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3) == 3
+    assert rank_int_columns([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2) == 2
+    assert rank_int_columns([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3) == 3

@@ -16,7 +16,7 @@ from shellball.complexes import (
     minimal_nonfaces,
     smallest_nonface_size,
 )
-from shellball.exactrank import rank_gf2_columns, rank_int_columns, rank_modp_columns
+from shellball.exactrank import rank_gf2_columns, rank_int_columns
 from shellball.homology import (
     BettiTable,
     _betti_from_entries,
@@ -266,9 +266,7 @@ def boundary_rank(lower, upper, char):
             col[index[f ^ (1 << v)]] = sign
             sign = -sign
         cols_d.append(col)
-    if char == 0:
-        return rank_int_columns(cols_d)
-    return rank_modp_columns(cols_d, char)
+    return rank_int_columns(cols_d, char)
 
 
 def component_count(vertex_masks, edge_masks):

@@ -81,17 +81,18 @@ def _names_read(tree):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_export_has_a_non_test_reader():
-    # an export that only the tests read is a test oracle: it belongs in
-    # tests/oracles.py, not in the library
-    lib = Path(shellball.__file__).parent
-    sources = [p for p in sorted(lib.glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+LIBRARY = [p for p in sorted(Path(shellball.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _non_test_reads():
+    """Names read outside the tests: by the library modules, the demos, the
+    benchmark harness and the README's code, plus the names the benchmark
+    tracer wraps by name with getattr."""
+    sources = LIBRARY + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     sources.append(ROOT / "README.md")
     read = set()
     for path in sources:
         read.update(_names_read(ast.parse(_code(path), filename=str(path))))
-    # the benchmark tracer wraps these by name with getattr
     spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     (traced,) = [
         ast.literal_eval(node.value)
@@ -99,8 +100,29 @@ def test_every_export_has_a_non_test_reader():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
     ]
     read.update(name for names in traced.values() for name in names)
+    return read
+
+
+def test_every_export_has_a_non_test_reader():
+    # an export that only the tests read is a test oracle: it belongs in
+    # tests/oracles.py, not in the library
+    read = _non_test_reads()
     unread = [name for name in shellball.__all__ if name not in read]
     assert not unread, f"exports read only by the tests: {unread}"
+
+
+def test_every_definition_has_a_non_test_reader():
+    # a module-level function or class that nothing outside the tests reads
+    # is dead code or a test oracle, exported or not
+    read = _non_test_reads()
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in LIBRARY
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    ]
+    assert not unread, f"definitions read only by the tests: {unread}"
 
 
 def _unused_imports(tree):
@@ -118,9 +140,7 @@ def _unused_imports(tree):
 def test_no_unused_imports():
     # an import the module never reads is left over from code since removed
     found = []
-    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in LIBRARY:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"unused imports in the library: {found}"
