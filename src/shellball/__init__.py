@@ -29,11 +29,12 @@ from .complexes import (
     h_vector,
     minimal_inside_faces,
     minimal_nonfaces,
+    minimal_vertex_covers,
     multiplicity,
     smallest_nonface_size,
     vector_profile,
 )
-from .duality import alexander_dual, dual_matrix, minimal_vertex_covers, verify_dual_theorem
+from .duality import alexander_dual, dual_matrix, verify_dual_theorem
 from .homology import (
     BettiTable,
     canonical_generator_degrees,

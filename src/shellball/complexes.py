@@ -5,10 +5,12 @@ so containment tests are single AND operations and face enumeration works
 on plain sets of ints.  Everything here is exact integer arithmetic: f- and
 h-vectors, boundary complexes, minimal nonfaces (their least size read off
 the f-vector), minimal inside faces and multiplicities.  No floats anywhere.
-The face lattice is built only where faces are read one by one; a complex
-whose facets have at least ``2^u`` subsets in all, ``u`` its used
-vertices, has its f-vector counted by bit operations on a ``2^u``-bit
-set instead (see `f_vector`).
+Minimal nonfaces and minimal inside faces are the minimal vertex covers of
+facet complements (see `minimal_vertex_covers`), so they need no faces.
+The face lattice serves only `f_vector` and the Betti walk's face bitsets
+in `homology`; a complex whose facets have at least ``2^u`` subsets in
+all, ``u`` its used vertices, has its f-vector counted by bit operations
+on a ``2^u``-bit set instead (see `f_vector`).
 
 Conventions:
 
@@ -86,6 +88,45 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
             used |= m
             out.append(m)
     return out
+
+
+def minimal_vertex_covers(supports: list[int]) -> list[int]:
+    """All inclusion-minimal vertex covers (as masks) of a set of support masks, sorted.
+
+    Berge's transversal step (C. Berge, *Hypergraphs*, 1989, ch. 2) adds one
+    support ``s`` at a time to the minimal covers ``M`` of the supports seen
+    so far.  Every minimal cover of the longer family is a member of ``M``
+    that meets ``s`` (kept) or ``c | v`` with ``c`` in ``M`` missing ``s``
+    and ``v`` in ``s`` (new).  A kept cover stays minimal: each proper
+    subset already misses a seen support.  A new ``c | v`` is not minimal
+    exactly when some kept ``o`` holding ``v`` has ``o - v`` inside ``c``:
+
+    - a new ``c' | v'`` inside ``c | v`` has ``c'`` inside ``c``, as ``c'``
+      misses ``v``, so ``c' = c`` and then ``v' = v``, since ``c`` misses
+      ``s``; so two new covers are equal or incomparable;
+    - a kept ``o`` inside ``c | v`` holds ``v``, for otherwise it would lie
+      in ``c``, while two members of ``M`` are equal or incomparable and
+      ``o`` meets ``s`` where ``c`` does not;
+    - conversely such an ``o`` is not ``c | v`` itself, as then ``c = o -
+      v`` would be a cover of the seen supports strictly inside ``o``.
+
+    So the new covers are checked against the kept ones only, and they
+    never come twice.  The empty family has the one cover 0; a family
+    holding the empty support has none.  A negative support mask holds no
+    finite vertex set and raises ValueError.
+    """
+    supports = sorted(set(supports))
+    if supports and supports[0] < 0:
+        raise ValueError(f"vertex out of range: support mask {supports[0]} is negative")
+    covers = [0]
+    for s in supports:
+        missing = [c for c in covers if not c & s]
+        if missing:
+            covers = [c for c in covers if c & s]
+            for v in iter_bits(s):
+                below = [o ^ 1 << v for o in covers if o >> v & 1]
+                covers += [c | 1 << v for c in missing if all(o & ~c for o in below)]
+    return sorted(covers)
 
 
 class SimplicialComplex:
@@ -311,57 +352,18 @@ def vector_profile(seq: Sequence[int]) -> VectorProfile:
 # nonfaces, boundary, inside faces
 
 
-def _neighbours(levels: dict[int, set[int]]) -> dict[int, int]:
-    """Each vertex bit on an edge of the lattice ``levels``, mapped to its neighbours."""
-    adjacent: dict[int, int] = {}
-    for e in levels.get(2, ()):
-        low = e & -e
-        adjacent[low] = adjacent.get(low, 0) | e ^ low
-        adjacent[e ^ low] = adjacent.get(e ^ low, 0) | low
-    return adjacent
-
-
-def _minimal_outside(
-    levels: dict[int, set[int]], used: int, largest: int = MAX_VERTICES
-) -> list[int]:
-    """Inclusion-minimal subsets of ``used`` outside the lattice ``levels``,
-    of size at most ``largest``.
-
-    Candidates of size k are (k-1)-sets of the lattice extended by a used
-    vertex above their top one, so each arises once; a candidate outside
-    the lattice is minimal iff every codimension-one subset lies in it, so
-    no minimal one is missed.  From k = 3 on a minimal candidate holds all
-    its edges, so one whose new vertex is not adjacent to every vertex of
-    the (k-1)-set is dropped before that check.  The search stops at size
-    ``largest`` or at the first size with no (k-1)-sets.
-    """
-    adjacent = _neighbours(levels)
-    out: list[int] = []
-    k = 1
-    while k <= largest and (base := levels.get(k - 1)):
-        cur = levels.get(k, ())
-        for f in base:
-            rem = used & -(1 << f.bit_length())
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                g = f | b
-                if g in cur or k > 2 and f & ~adjacent.get(b, 0):
-                    continue
-                if all((g ^ (1 << v)) in base for v in iter_bits(f)):
-                    out.append(g)
-        k += 1
-    return out
-
-
 def minimal_nonface_masks(cx: SimplicialComplex) -> list[int]:
-    """Inclusion-minimal nonfaces over the used vertex set, as masks.
+    """Inclusion-minimal nonfaces over the used vertex set, as masks in canonical order.
 
-    Unused vertices are not counted as nonfaces; `duality.alexander_dual`
-    works over the whole universe and finds its nonfaces without the face
-    lattice read here.
+    A set of used vertices is a nonface exactly when it meets ``used ^ F``
+    for every facet ``F``, so these are the minimal covers of the facet
+    complements, found without a face lattice.  Unused vertices are not
+    counted as nonfaces; the void complex has none.
     """
-    return sorted(_minimal_outside(cx.faces_by_size(), cx.used_mask), key=_canonical_key)
+    if not cx.facets:
+        return []
+    used = cx.used_mask
+    return sorted(minimal_vertex_covers([used ^ f for f in cx.facets]), key=_canonical_key)
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
@@ -414,13 +416,16 @@ def minimal_inside_faces(cx: SimplicialComplex) -> list[tuple[int, ...]]:
     These index the generators of the canonical ideal of a ball; their
     cardinalities are the generator degrees.  A face off the boundary whose
     proper subsets all lie on it is a minimal nonface of the boundary, so
-    they are the boundary's minimal nonfaces that lie in a facet, and only
-    the boundary's lattice is built.
+    they are the boundary's minimal nonfaces that lie in a facet.  Those are
+    the minimal covers of ``used ^ B`` over the boundary facets ``B``, with
+    ``used`` the ball's used vertices, so an interior vertex comes out as a
+    singleton; no face lattice is built.
     """
     boundary = boundary_complex(cx)
     if not boundary.facets:
         raise ValueError("no boundary (sphere input?)")
-    minimal = _minimal_outside(boundary.faces_by_size(), cx.used_mask)
+    used = cx.used_mask
+    minimal = minimal_vertex_covers([used ^ b for b in boundary.facets])
     inside = [g for g in minimal if any(g & ~f == 0 for f in cx.facets)]
     return [vertices_of(m) for m in sorted(inside, key=_canonical_key)]
 

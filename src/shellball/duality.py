@@ -17,45 +17,25 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, iter_bits, mask_of, minimal_masks, vertices_of
+from .complexes import SimplicialComplex, mask_of, minimal_vertex_covers, vertices_of
 from .paths import MinorSpec, Point, sr_generators
 
 
 def alexander_dual(cx: SimplicialComplex) -> SimplicialComplex:
     """Complex whose facets are the universe complements of the minimal nonfaces.
 
-    A set is a nonface exactly when it meets the complement of every facet,
-    so no face lattice is built.  An unused vertex lies in every complement
-    and comes out as a singleton nonface, which keeps the dual an involution;
-    the void complex's one minimal nonface is the empty set.
+    The nonfaces are `minimal_nonface_masks` over the whole universe rather
+    than the used vertices: the minimal covers of the universe complements
+    of the facets, so no face lattice is built.  An unused vertex lies in
+    every complement and comes out as a singleton nonface, which keeps the
+    dual an involution; the void complex's one minimal nonface is the empty
+    set.
     """
     full = (1 << cx.n) - 1
     nonfaces = minimal_vertex_covers([full ^ f for f in cx.facets])
     if not nonfaces:
         raise ValueError("dual undefined (zero ideal)")
     return SimplicialComplex(cx.n, [full ^ m for m in nonfaces], cx.labels)
-
-
-def minimal_vertex_covers(supports: list[int]) -> list[int]:
-    """All inclusion-minimal vertex covers (as masks) of a set of support masks.
-
-    Berge's transversal step (C. Berge, *Hypergraphs*, 1989, ch. 2): the
-    minimal covers of the supports seen so far that meet the next support
-    stay, each other one is extended by every vertex of that support, and
-    the results are cut back to the inclusion-minimal ones.  The empty
-    family has the one cover 0; a family holding the empty support has none.
-    A negative support mask holds no finite vertex set and raises ValueError.
-    """
-    supports = sorted(set(supports))
-    if supports and supports[0] < 0:
-        raise ValueError(f"vertex out of range: support mask {supports[0]} is negative")
-    covers = [0]
-    for s in supports:
-        covers = minimal_masks(
-            [c for c in covers if c & s]
-            + [c | 1 << v for c in covers if not c & s for v in iter_bits(s)]
-        )
-    return sorted(covers)
 
 
 def dual_matrix(m: int, n: int) -> dict[Point, Point | None]:

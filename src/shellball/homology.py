@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 
-from .complexes import SimplicialComplex, _minimal_outside, _neighbours, iter_bits
+from .complexes import SimplicialComplex, iter_bits, minimal_nonface_masks
 from .exactrank import rank_gf2_columns, rank_int_columns
 
 DEFAULT_VERTEX_CAP = 16
@@ -90,6 +90,16 @@ def _column(face: int, row: dict[int, int], char: int):
     if char == 2:
         return sum(1 << r for r in rows)
     return {r: (-1) ** i for i, r in enumerate(rows)}
+
+
+def _neighbours(levels: dict[int, set[int]]) -> dict[int, int]:
+    """Each vertex bit on an edge of the lattice ``levels``, mapped to its neighbours."""
+    adjacent: dict[int, int] = {}
+    for e in levels.get(2, ()):
+        low = e & -e
+        adjacent[low] = adjacent.get(low, 0) | e ^ low
+        adjacent[e ^ low] = adjacent.get(e ^ low, 0) | low
+    return adjacent
 
 
 class _FaceBits:
@@ -248,7 +258,7 @@ def _hochster_entries(
     largest = u // 2 if sphere else u
     p = u - cx.dim - 1  # a sphere's projective dimension, home of its top class
     faces = _FaceBits(cx, char, largest)
-    nonfaces = _minimal_outside(cx.faces_by_size(), cx.used_mask, largest)
+    nonfaces = [m for m in minimal_nonface_masks(cx) if m.bit_count() <= largest]
     bits = [1 << v for v in used]
     avoid = [faces.avoid[b] for b in bits]
     holds = [sum(1 << i for i, m in enumerate(nonfaces) if m & b) for b in bits]

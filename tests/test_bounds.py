@@ -264,6 +264,15 @@ def test_check_never_builds_the_ball_face_lattice(monkeypatch, cx, order, shells
         assert (rep.f, rep.h, rep.m, rep.L, rep.U, rep.m_in_range, rep.A1, rep.A2) == (None,) * 8
 
 
+def test_sphere_table_asks_for_the_boundary_lattice_once(monkeypatch):
+    # the walk's nonfaces are covers of the facet complements; only the
+    # face bitsets read the lattice
+    bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])
+    asked = spy_lattices(monkeypatch)
+    hochster_betti_table(bd, sphere=True)
+    assert len(asked) == 1 and asked[0] is bd
+
+
 def test_check_counts_a_dense_boundary_without_a_lattice(monkeypatch):
     # the 20-vertex boundary of (4,5,2) is past the Betti cap, and f_vector
     # counts its faces in the vertex cube

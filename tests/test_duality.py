@@ -6,19 +6,19 @@ import pytest
 
 from shellball.complexes import (
     SimplicialComplex,
+    boundary_complex,
     build_complex,
     mask_of,
+    minimal_inside_faces,
     minimal_nonface_masks,
+    minimal_nonfaces,
+    minimal_vertex_covers,
     vertices_of,
 )
-from shellball.duality import (
-    alexander_dual,
-    dual_matrix,
-    minimal_vertex_covers,
-    verify_dual_theorem,
-)
+from shellball.duality import alexander_dual, dual_matrix, verify_dual_theorem
 from shellball.paths import MinorSpec, enumerate_facets, path_complex, sr_generators
 from shellball.polarization import power_ideal_complex
+from shellball.shelling import certified_inside_faces, verify_ball
 from tests.oracles import branch_and_bound_covers, unused_vertices
 from tests.test_bounds import spy_lattices
 from tests.test_complexes import MINOR23
@@ -86,6 +86,20 @@ def test_duality_builds_no_face_lattice(monkeypatch):
     assert asked == []
 
 
+def test_nonfaces_and_inside_faces_build_no_face_lattice(monkeypatch):
+    # both are minimal covers of facet complements, on the (4,5,3) ball and
+    # its 20-vertex boundary alike
+    ball, order = path_complex(MinorSpec.diagonal(4, 5, 3))
+    bd = boundary_complex(ball)
+    asked = spy_lattices(monkeypatch)
+    for cx in (ball, bd):
+        assert minimal_nonfaces(cx)
+        alexander_dual(cx)
+    inside = minimal_inside_faces(ball)
+    assert asked == []
+    assert inside == certified_inside_faces(ball, verify_ball(ball, order))
+
+
 def test_minimal_vertex_covers_simple():
     covers = minimal_vertex_covers([mask_of([0, 1]), mask_of([1, 2])])
     assert sorted(vertices_of(c) for c in covers) == [(0, 2), (1,)]
@@ -102,7 +116,9 @@ def test_minimal_vertex_covers_refuse_a_negative_support():
 
 def cover_families():
     """The empty family, an empty support, then seeded random families on at
-    most 9 vertices, some with a duplicate or a nested support added."""
+    most 9 vertices, some with a duplicate or a nested support added, and
+    larger ones of 10 to 40 small supports on up to 12 vertices, where a
+    kept cover often holds the vertex that extends a new one."""
     rng = random.Random(24)
     yield []
     yield [0]
@@ -119,6 +135,9 @@ def cover_families():
         if rng.random() < 0.05:
             family.append(0)
         yield family
+    for _ in range(100):
+        n = rng.randint(6, 12)
+        yield [mask_of(rng.sample(range(n), rng.randint(2, 5))) for _ in range(rng.randint(10, 40))]
 
 
 def generator_masks(spec):

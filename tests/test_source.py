@@ -144,3 +144,21 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"unused imports in the library: {found}"
+
+
+def _private_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("shellball")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_no_private_imports_between_modules():
+    # a private name has one home: a second module that needs it shows the
+    # name should move or become public
+    found = []
+    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _private_imports(tree)]
+    assert not found, f"private names imported from another module: {found}"
