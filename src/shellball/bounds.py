@@ -95,7 +95,8 @@ def cyclic_max_shifts(n: int, d: int) -> list[int]:
 # the full per-instance verdict
 
 
-def _rat(x):
+def json_rational(x):
+    """A Fraction as an int when it is whole and as "p/q" otherwise; any other value as is."""
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return x
@@ -106,7 +107,7 @@ def _json_value(x):
         return list(x)
     if isinstance(x, BettiTable):
         return x.to_json_dict()
-    return _rat(x)
+    return json_rational(x)
 
 
 @dataclass

@@ -222,7 +222,7 @@ def cmd_cyclic(args) -> int:
         "h": list(h),
         "multiplicity": mult,
         "max_shifts": ms,
-        "shift_bound": bnd._rat(upper),
+        "shift_bound": bnd.json_rational(upper),
         "bound_holds": mult <= upper,
         "equality_expected": even_case,
         "equality": mult == upper,

@@ -14,28 +14,28 @@ that subcomplex is a cone over x and has no reduced homology.  One binary
 walk over the used vertices finds the remaining W.  It carries the minimal
 nonfaces avoiding every excluded vertex as one int of bits over their list,
 so excluding a vertex is one AND with the bitset of those without it, and it
-cuts a subtree as soon as a chosen vertex lies in none of them.  The faces
-of size >= 2 are laid out once, by size and then mask, and the walk carries
-the faces still alive the same way.  At a leaf W the alive faces are
-exactly the faces inside W.
+cuts a subtree as soon as a chosen vertex lies in none of them.  The
+nonempty faces are laid out once, by size and then mask, vertices first,
+and the walk carries the faces still alive the same way.  At a leaf W the
+alive faces are exactly the nonempty faces inside W, and the alive
+vertices are W.
 
 A leaf ranks only the faces outside one vertex star.  The closed star
 st_W(v) of a vertex v of W, the faces F of Delta_W with F + v in Delta_W,
 is a cone over v, so the long exact sequence of the pair gives H~_k(Delta_W)
 = H_k(Delta_W, st_W(v)) over every field (Hatcher, Algebraic Topology,
 Section 2.1; Hochster's formula as in Miller-Sturmfels, Cor. 5.12).  The
-relative cells are the vertices of W outside v's closed neighbourhood and
-the faces of size >= 2 outside the star, so h~_k = f_k - r_k - r_{k+1}, f_k
-counting the cells of dimension k and r_k the rank of their boundary map,
-r_0 = 0.  A relative column is the face's boundary column with the star's
+relative cells are the faces of W outside the star, vertices included, so
+h~_k = f_k - r_k - r_{k+1}, f_k counting the cells of dimension k and r_k
+the rank of their boundary map, r_0 = 0 as the empty face lies in the
+star.  A relative column is the face's boundary column with the star's
 rows dropped.  The leaf takes the v that lies in the most faces of W, so
 that its star covers many of them.  A face's boundary column is built the
 first time a leaf reads it and kept for the table; the row of a face is
-its position within the range of its own size, a vertex's row is its
-number, so rows never change.  The star of v in W is the alive part of its
-star in the whole complex: the faces with v and each F - v for a face F
-with v.  The position of F - v is found the first time a leaf with that v
-holds F, so once per pair.
+its position within the range of its own size, so rows never change.  The
+star of v in W is the alive part of its star in the whole complex: the
+faces with v and each F - v for a face F with v.  The position of F - v is
+found the first time a leaf with that v holds F, so once per pair.
 
 With `sphere` (below) no leaf has more than u // 2 vertices, so only the
 faces and minimal nonfaces of at most that size are laid out.  This is
@@ -92,98 +92,81 @@ def _column(face: int, row: dict[int, int], char: int):
     return {r: (-1) ** i for i, r in enumerate(rows)}
 
 
-def _neighbours(levels: dict[int, set[int]]) -> dict[int, int]:
-    """Each vertex bit on an edge of the lattice ``levels``, mapped to its neighbours."""
-    adjacent: dict[int, int] = {}
-    for e in levels.get(2, ()):
-        low = e & -e
-        adjacent[low] = adjacent.get(low, 0) | e ^ low
-        adjacent[e ^ low] = adjacent.get(e ^ low, 0) | low
-    return adjacent
-
-
 class _FaceBits:
-    """The faces of size 2..largest of one complex, by size and then mask; a
-    set of them is an int whose bit i stands for `faces[i]`.  `levels` lists
-    (size, position of its first face, bitset of its faces).  For a used
-    vertex bit v, `avoid[v]` and `holding[v]` are the faces without and with
-    v, and `adjacent[v]` its neighbours.  A face's row is its position within
-    its own size, a vertex's its number.  `cols[i]` is built on first read.
-    `star[v]` holds the faces with v and the faces F - v found so far;
-    `unseen[v]` holds the faces F of size >= 3 with v whose F - v is not yet
-    in `star[v]`."""
+    """The faces of size 1..largest of one complex, by size and then mask; a
+    set of them is an int whose bit i stands for `faces[i]`, and a vertex is
+    named by its bit.  `levels[s - 1]` is (position of the first face of size
+    s, bitset of those faces).  A face's row is its position within its own
+    size.  For a vertex v, `holding[v]` is the faces with v, `star[v]` holds
+    them and the faces F - v found so far, and `unseen[v]` holds the faces F
+    of size >= 2 with v whose F - v is not yet in `star[v]`.  `cols[i]` is
+    built on first read."""
 
     def __init__(self, cx: SimplicialComplex, char: int, largest: int):
         levels = cx.faces_by_size()
-        used = cx.used_vertices
         self.char = char
         self.faces: list[int] = []
-        self.row = {1 << v: v for v in used}
-        self.first: dict[int, int] = {}
-        self.levels: list[tuple[int, int, int]] = []
-        for s in range(2, min(max(levels, default=0), largest) + 1):
+        self.row: dict[int, int] = {}
+        self.levels: list[tuple[int, int]] = []
+        for s in range(1, min(max(levels, default=0), largest) + 1):
             level = sorted(levels[s])
             self.row.update(zip(level, range(len(level))))
-            self.first[s] = start = len(self.faces)
-            self.levels.append((s, start, ((1 << len(level)) - 1) << start))
+            start = len(self.faces)
+            self.levels.append((start, ((1 << len(level)) - 1) << start))
             self.faces += level
         # lay the faces' bytes end to end and read bit j of each byte as the
-        # digit "1" when it is clear; from the last face down, every width-th
-        # digit from byte v >> 3 on is then the bitset avoiding v in base 2
+        # digit "1" when it is set; from the last face down, every width-th
+        # digit from byte v >> 3 on is then the bitset holding v in base 2
         width = (cx.n + 7) >> 3
         packed = b"".join(f.to_bytes(width, "little") for f in self.faces)
-        digits = [packed.translate(bytes(49 - (x >> j & 1) for x in range(256))) for j in range(8)]
-        self.avoid = {
-            1 << v: int(digits[v & 7][v >> 3 :: width][::-1] or b"0", 2) for v in used
+        digits = [packed.translate(bytes(48 + (x >> j & 1) for x in range(256))) for j in range(8)]
+        self.holding = {
+            1 << k: int(digits[v & 7][v >> 3 :: width][::-1] or b"0", 2)
+            for k, v in enumerate(cx.used_vertices)
         }
-        every = (1 << len(self.faces)) - 1
-        big = every & -(1 << self.first.get(3, len(self.faces)))
-        self.holding = {v: every & ~out for v, out in self.avoid.items()}
         self.star = dict(self.holding)
+        big = -1 << len(self.holding)  # the faces after the vertices
         self.unseen = {v: big & on for v, on in self.holding.items()}
-        self.adjacent = _neighbours(levels)
         self.cols: list = [None] * len(self.faces)
 
-    def reduced_ranks(self, w: int, alive: int) -> dict[int, int]:
-        """Reduced homology ranks in dimensions 0..dim of the subcomplex
-        induced on the nonempty vertex set `w`, whose faces of size >= 2 are
-        `alive`, relative to the star of the vertex of `w` in the most of
-        them (see the module docstring)."""
-        holding, best, rest = self.holding, -1, w
+    def reduced_ranks(self, alive: int) -> dict[int, int]:
+        """Reduced homology ranks in dimensions 0..dim of the induced
+        subcomplex whose faces are the nonempty `alive`, relative to the star
+        of its vertex in the most of them (see the module docstring)."""
+        holding, best, rest = self.holding, -1, alive & self.levels[0][1]
         while rest:
             b = rest & -rest
             rest ^= b
             count = (alive & holding[b]).bit_count()
             if count > best:
                 best, v = count, b
-        return self._relative_ranks(w, alive, v)
+        return self._relative_ranks(alive, v)
 
-    def _relative_ranks(self, w: int, alive: int, v: int) -> dict[int, int]:
+    def _relative_ranks(self, alive: int, v: int) -> dict[int, int]:
         """The ranks of `reduced_ranks` read off the pair (Delta_W, st_W(v))
-        for the vertex bit `v` of `w`: in dimension k, f_k - r_k - r_{k+1},
+        for the bit `v` of a vertex of W: in dimension k, f_k - r_k - r_{k+1},
         where f_k counts the faces of size k+1 outside the star and r_k is
         the rank of their boundary columns with the star's rows dropped."""
-        char, cols, faces, row, first = self.char, self.cols, self.faces, self.row, self.first
+        char, cols, faces, row, levels = self.char, self.cols, self.faces, self.row, self.levels
         new = alive & self.unseen[v]
         if new:
             self.unseen[v] ^= new
-            image = 0
+            image, x = 0, faces[v.bit_length() - 1]
             while new:
                 low = new & -new
                 new ^= low
-                g = faces[low.bit_length() - 1] ^ v
-                image |= 1 << first[g.bit_count()] + row[g]
+                g = faces[low.bit_length() - 1] ^ x
+                image |= 1 << levels[g.bit_count() - 1][0] + row[g]
             self.star[v] |= image
         star = self.star[v]
         outside = alive & ~star
-        top = faces[outside.bit_length() - 1].bit_count() if outside else 1
-        keep = ~(self.adjacent.get(v, 0) | v)  # the rows outside the star, among the vertices
-        f = [(w & keep).bit_count()] + [0] * (top - 1)
-        rank = [0] * (top + 1)
-        for s, start, span in self.levels[: top - 1]:
+        top = faces[outside.bit_length() - 1].bit_count() if outside else 0
+        f, rank = [], [0] * (top + 1)
+        keep = 0  # the empty face lies in the star, so a vertex keeps no row
+        for s, (start, span) in enumerate(levels[:top]):
             here = (outside & span) >> start
-            f[s - 1] = here.bit_count()
-            if here:
+            f.append(here.bit_count())
+            if here and keep:
                 group = []
                 while here:
                     low = here & -here
@@ -198,7 +181,7 @@ class _FaceBits:
                         col = {r: x for r, x in col.items() if keep >> r & 1}
                     if col:
                         group.append(col)
-                rank[s - 1] = _rank(group, char)
+                rank[s] = _rank(group, char)
             keep = ~((star & span) >> start)
         return {k: f[k] - rank[k] - rank[k + 1] for k in range(top)}
 
@@ -243,14 +226,15 @@ def _hochster_entries(
 ) -> dict[tuple[int, int], int]:
     """Hochster sums over the nonempty unions W of minimal nonfaces.
 
-    `alive` (a bitset over `_FaceBits.faces`) and `live` (over `nonfaces`)
-    in the walk hold the faces and minimal nonfaces avoiding every excluded
-    vertex, and `held` has, per chosen vertex, the bitset of the nonfaces
-    holding it.  A subtree in which a chosen vertex lies in no live nonface
-    holds only cones (see the module docstring) and is cut.  With `sphere`
-    only |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its
-    complement's entries, a leaf with 2|W| = u has its complement walked as
-    a leaf too, and W = V is the top class.  A cut W spans a cone, so its
+    `alive` (a bitset over `_FaceBits.faces`, vertices included) and `live`
+    (over `nonfaces`) in the walk hold the faces and minimal nonfaces
+    avoiding every excluded vertex, so a leaf's alive vertices are W, and
+    `held` has, per chosen vertex, the bitset of the nonfaces holding it.  A
+    subtree in which a chosen vertex lies in no live nonface holds only
+    cones (see the module docstring) and is cut.  With `sphere` only
+    |W| <= u // 2 is walked: a leaf with 2|W| < u also adds its complement's
+    entries, a leaf with 2|W| = u has its complement walked as a leaf too,
+    and W = V is the top class.  A cut W spans a cone, so its
     complement is acyclic as well and owns no entry.
     """
     used = cx.used_vertices
@@ -259,23 +243,25 @@ def _hochster_entries(
     p = u - cx.dim - 1  # a sphere's projective dimension, home of its top class
     faces = _FaceBits(cx, char, largest)
     nonfaces = [m for m in minimal_nonface_masks(cx) if m.bit_count() <= largest]
-    bits = [1 << v for v in used]
-    avoid = [faces.avoid[b] for b in bits]
-    holds = [sum(1 << i for i, m in enumerate(nonfaces) if m & b) for b in bits]
+    every = (1 << len(faces.faces)) - 1
+    # the faces without each vertex, kept positive: on a large layout an AND
+    # with a negative int such as ~holding costs about ten times as much
+    without = [every ^ faces.holding[1 << k] for k in range(u)]
+    holds = [sum(1 << i for i, m in enumerate(nonfaces) if m >> v & 1) for v in used]
     entries: Counter[tuple[int, int]] = Counter()
     if sphere:
         entries[(p, u)] = 1
 
-    def rec(k: int, alive: int, live: int, chosen: int, held: tuple[int, ...]) -> None:
+    def rec(k: int, alive: int, live: int, held: tuple[int, ...]) -> None:
         # a vertex in no live nonface cannot be chosen, and excluding it
         # uncovers no chosen vertex
         while k < u and not live & holds[k]:
-            alive &= avoid[k]
+            alive &= without[k]
             k += 1
         if k == u:
             w_size = len(held)
             if w_size:
-                for dim, rank in faces.reduced_ranks(chosen, alive).items():
+                for dim, rank in faces.reduced_ranks(alive).items():
                     if rank:
                         i = w_size - 1 - dim
                         entries[(i, w_size)] += rank
@@ -288,11 +274,11 @@ def _hochster_entries(
             if not rest & h:
                 break
         else:
-            rec(k + 1, alive & avoid[k], rest, chosen, held)
+            rec(k + 1, alive & without[k], rest, held)
         if len(held) < largest:
-            rec(k + 1, alive, live, chosen | bits[k], (*held, holds[k]))
+            rec(k + 1, alive, live, (*held, holds[k]))
 
-    rec(0, (1 << len(faces.faces)) - 1, (1 << len(nonfaces)) - 1, 0, ())
+    rec(0, every, (1 << len(nonfaces)) - 1, ())
     return entries
 
 

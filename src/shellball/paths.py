@@ -139,7 +139,7 @@ class PathFamily:
     moves down or left, so its leftmost point in row x is its leftmost point
     in all rows <= x: f1 <= f2 iff f1.profile <= f2.profile entry by entry.
     Profiles and facets are in bijection, so equality and hashing compare
-    profiles.  The points, corners, mask and vertex indices are derived from
+    profiles.  The paths, corners, mask and vertex indices are derived from
     the profile when first read; the mask alone builds no point.
     """
 
@@ -162,10 +162,6 @@ class PathFamily:
         for k, x, lo, hi in self._rows():
             out[k].extend(zip(repeat(x), range(hi, lo - 1, -1)))
         return tuple(map(tuple, out))
-
-    @cached_property
-    def points(self) -> frozenset[Point]:
-        return frozenset(p for path in self.paths for p in path)
 
     @cached_property
     def corners(self) -> frozenset[Point]:

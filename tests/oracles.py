@@ -1,13 +1,14 @@
 """Reference functions that only the tests call.
 
 Each one restates a result of the paper in its most direct form: the flip
-move on one path, family flips against corner-maximality, the corner-maximal
-generators of the minimal inside faces, the prefix boundary test, reduced
-homology of a whole complex, face membership by lookup in the face lattice,
-minimal vertex covers by branch and bound, inclusion-minimal and -maximal
-masks pair by pair, the h-vector of a minor counted by corners, the unused
-vertices of a complex, a facet's row profile read off its points, and the
-facet walk that follows every dead end.  No pipeline stage, CLI command or
+move on one path, a facet's points, family flips against corner-maximality,
+the corner-maximal generators of the minimal inside faces, the prefix
+boundary test, reduced homology of a whole complex, face membership by
+lookup in the face lattice, the unions of minimal nonfaces by a union
+closure, minimal vertex covers by branch and bound, inclusion-minimal and
+-maximal masks pair by pair, the h-vector of a minor counted by corners, the
+unused vertices of a complex, a facet's row profile read off its points,
+and the facet walk that follows every dead end.  No pipeline stage, CLI command or
 demo calls them; the library computes the same objects from shelling
 certificates, Hochster walks, Berge's transversal step, a per-vertex
 containment index and a walk that keeps room for the later paths, and the
@@ -21,7 +22,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from shellball.complexes import SimplicialComplex, _canonical_key, iter_bits, vertices_of
+from shellball.complexes import (
+    SimplicialComplex,
+    _canonical_key,
+    iter_bits,
+    minimal_nonface_masks,
+    vertices_of,
+)
 from shellball.homology import _rank, check_field
 from shellball.paths import (
     MinorSpec,
@@ -54,11 +61,17 @@ def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
     return out
 
 
+def points_of(family: PathFamily) -> frozenset[Point]:
+    """The points of a facet's paths."""
+    return frozenset(p for path in family.paths for p in path)
+
+
 def admits_family_flip(family: PathFamily) -> bool:
     """Some path admits a flip whose new point misses the sibling paths (it is
     never on its own path, which runs v+(0,1), v, v+(1,0))."""
+    points = points_of(family)
     return any(
-        (x + 1, y + 1) not in family.points for path in family.paths for (x, y) in _flip_sites(path)
+        (x + 1, y + 1) not in points for path in family.paths for (x, y) in _flip_sites(path)
     )
 
 
@@ -70,7 +83,9 @@ def canonical_generators(facets: list[PathFamily]) -> list[tuple[Point, ...]]:
     leaving the facet corner-maximal although a path of it is flippable in
     isolation.
     """
-    faces = [tuple(sorted(f.points - f.corners)) for f in facets if is_corner_maximal(f, facets)]
+    faces = [
+        tuple(sorted(points_of(f) - f.corners)) for f in facets if is_corner_maximal(f, facets)
+    ]
     return sorted(faces, key=lambda face: (len(face), face))
 
 
@@ -81,7 +96,7 @@ def boundary_via_corners(facets: list[PathFamily], i: int):
     containing G has F - G inside the corner set of F.  Returns a predicate
     on point collections; faces outside the prefix test False.
     """
-    data = [(fam.points, fam.corners) for fam in facets[:i]]
+    data = [(points_of(fam), fam.corners) for fam in facets[:i]]
 
     def predicate(face_points) -> bool:
         fp = frozenset(face_points)
@@ -129,6 +144,16 @@ def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, i
         k: len(groups.get(k + 1, ())) - rank.get(k + 1, 0) - rank.get(k + 2, 0)
         for k in range(-1, max(groups, default=0))
     }
+
+
+def nonface_unions(cx: SimplicialComplex, largest: int) -> set[int]:
+    """The unions of minimal nonfaces with at most `largest` vertices, by a
+    union closure: the vertex sets the Hochster walk ranks."""
+    generators = [m for m in minimal_nonface_masks(cx) if m.bit_count() <= largest]
+    unions = set(generators)
+    for g in generators:
+        unions |= {w | g for w in unions if (w | g).bit_count() <= largest}
+    return unions
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ with the corner-maximal generators in tests/oracles.py.
 import pytest
 
 import shellball as sb
-from tests.oracles import canonical_generators
+from tests.oracles import canonical_generators, points_of
 
 SEED = 20240811
 
@@ -198,9 +198,10 @@ def test_criterion_9c_glue_uniqueness(minor):
     for m, n, r in PIPELINE_INSTANCES:
         spec, fams, _, _ = minor(m, n, r)
         ordered = sb.shelling_order(fams)
+        points = [points_of(fam) for fam in ordered]
         for k, fam in enumerate(ordered):
-            for v in fam.points:
-                ridge = fam.points - {v}
-                containing = [j for j in range(k) if ridge <= ordered[j].points]
+            for v in points[k]:
+                ridge = points[k] - {v}
+                containing = [j for j in range(k) if ridge <= points[j]]
                 assert len(containing) == (1 if v in fam.corners else 0)
     line("criterion 9c", "PASS  dropped corner = unique earlier facet, dropped non-corner = none")

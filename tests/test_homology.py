@@ -29,7 +29,7 @@ from shellball.homology import (
 from shellball.paths import MinorSpec, path_complex
 from shellball.polarization import power_ideal_complex
 from shellball.shelling import certified_h, verify_ball
-from tests.oracles import reduced_homology_ranks
+from tests.oracles import nonface_unions, reduced_homology_ranks
 from tests.test_complexes import MINOR23, SPHERE23
 from tests.test_properties import grow_shellable_ball, pure_complexes
 
@@ -387,9 +387,10 @@ def spy_leaves(monkeypatch) -> list:
     leaves = []
     original = homology._FaceBits.reduced_ranks
 
-    def reduced_ranks(self, w, alive):
-        leaves.append(w)
-        return original(self, w, alive)
+    def reduced_ranks(self, alive):
+        vertices = alive & self.levels[0][1]  # level 1 starts the layout
+        leaves.append(sum(self.faces[i] for i in iter_bits(vertices)))
+        return original(self, alive)
 
     monkeypatch.setattr(homology._FaceBits, "reduced_ranks", reduced_ranks)
     return leaves
@@ -401,10 +402,21 @@ def test_pruned_walk_processes_unions_of_minimal_nonfaces(monkeypatch):
     assert len(bd.used_vertices) == 12
     table = hochster_betti_table(bd, field=2)
     assert len(calls) == 29  # of 4095 nonempty subsets; the rest span cones
+    assert sorted(calls) == sorted(nonface_unions(bd, 12))
     assert table.entries == unpruned_betti_table(bd, 2).entries
     calls.clear()
     hochster_betti_table(bd, field=2, sphere=True)  # the walk stops at |W| = 6
     assert len(calls) == 10
+    assert sorted(calls) == sorted(nonface_unions(bd, 6))
+
+
+@given(pure_complexes(max_n=8))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_walk_leaves_are_the_unions_of_minimal_nonfaces(cx):
+    with pytest.MonkeyPatch.context() as mp:
+        leaves = spy_leaves(mp)
+        hochster_betti_table(cx, field=2)
+    assert sorted(leaves) == sorted(nonface_unions(cx, len(cx.used_vertices)))
 
 
 def check_every_star(cx) -> int:
@@ -422,8 +434,8 @@ def check_every_star(cx) -> int:
         alive = sum(1 << i for i, m in enumerate(layout) if m & ~w == 0)
         for char, fb in bits.items():
             want = {k: r for k, r in leafwise_reduced_ranks(inside, char).items() if r}
-            for v in iter_bits(w):
-                got = fb._relative_ranks(w, alive, 1 << v)
+            for v in iter_bits(alive & fb.levels[0][1]):  # the vertices of W
+                got = fb._relative_ranks(alive, 1 << v)
                 assert {k: r for k, r in got.items() if r} == want, (cx, w, v, char)
                 checked += 1
         w = (w - 1) & used
@@ -467,9 +479,12 @@ def test_columns_are_built_only_for_faces_the_leaves_read(monkeypatch):
     stars = []  # (W, v) of every leaf
     relative = homology._FaceBits._relative_ranks
 
-    def relative_ranks(self, w, alive, v):
-        stars.append((w, v))
-        return relative(self, w, alive, v)
+    def relative_ranks(self, alive, v):
+        w = 0
+        for i in iter_bits(alive):
+            w |= self.faces[i]
+        stars.append((w, self.faces[v.bit_length() - 1]))
+        return relative(self, alive, v)
 
     monkeypatch.setattr(homology._FaceBits, "_relative_ranks", relative_ranks)
     bd = boundary_complex(path_complex(MinorSpec.diagonal(3, 4, 2))[0])

@@ -46,6 +46,7 @@ from tests.oracles import (
     corner_h,
     flip,
     is_face,
+    points_of,
     profile_of,
     walk_all_facets,
 )
@@ -218,7 +219,7 @@ def test_check_path_builds_no_points():
     fams = enumerate_facets(spec)
     path_complex(spec, fams)
     assert len(fams) == 4116
-    assert [fam for fam in fams if {"paths", "points"} & vars(fam).keys()] == []
+    assert [fam for fam in fams if "paths" in vars(fam)] == []
 
 
 def test_facet_cap():
@@ -837,12 +838,11 @@ def test_dropped_corner_lands_in_unique_earlier_facet():
     for m, n, r in SMALL_SPECS:
         spec = MinorSpec.diagonal(m, n, r)
         ordered = shelling_order(enumerate_facets(spec))
+        points = [points_of(fam) for fam in ordered]
         for k, fam in enumerate(ordered):
-            for v in sorted(fam.points):
-                ridge = fam.points - {v}
-                containing = [
-                    j for j in range(k) if ridge <= ordered[j].points
-                ]
+            for v in sorted(points[k]):
+                ridge = points[k] - {v}
+                containing = [j for j in range(k) if ridge <= points[j]]
                 if v in fam.corners:
                     assert len(containing) == 1
                 else:
@@ -855,9 +855,10 @@ def test_core_containment_implies_corner_containment():
     # corner-maximal facets index the minimal inside faces
     for m, n, r in SMALL_SPECS:
         fams = enumerate_facets(MinorSpec.diagonal(m, n, r))
+        core = {fam: points_of(fam) - fam.corners for fam in fams}
         for a in fams:
             for b in fams:
-                if (b.points - b.corners) <= (a.points - a.corners):
+                if core[b] <= core[a]:
                     assert a.corners <= b.corners
 
 
@@ -868,15 +869,15 @@ def test_corner_containment_does_not_imply_core_containment():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
     stair, _, f2 = fams
     assert stair.corners <= f2.corners
-    assert not (f2.points - f2.corners) <= (stair.points - stair.corners)
+    assert not (points_of(f2) - f2.corners) <= (points_of(stair) - stair.corners)
     # and with nonempty corner sets on both sides, on the 3x4 grid
     fams = enumerate_facets(MinorSpec.diagonal(3, 4, 1))
+    core = {fam: points_of(fam) - fam.corners for fam in fams}
     witnesses = [
         (a, b)
         for a in fams
         for b in fams
-        if a.corners and a.corners < b.corners
-        and not (b.points - b.corners) <= (a.points - a.corners)
+        if a.corners and a.corners < b.corners and not core[b] <= core[a]
     ]
     assert witnesses
 

@@ -125,6 +125,23 @@ def test_every_definition_has_a_non_test_reader():
     assert not unread, f"definitions read only by the tests: {unread}"
 
 
+def test_every_method_has_a_non_test_reader():
+    # a method or property that nothing outside the tests reads is dead code
+    # or a test oracle; dataclass fields are exempt, as `fields()` reads them
+    read = _non_test_reads()
+    unread = [
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path in LIBRARY
+        for cls in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+    assert not unread, f"methods read only by the tests: {unread}"
+
+
 def _unused_imports(tree):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in tree.body:
@@ -147,16 +164,29 @@ def test_no_unused_imports():
 
 
 def _private_imports(tree):
+    modules = set()  # the names bound to a library module, as in `from . import bounds as bnd`
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("shellball")):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield node.lineno, f"{node.module}.{alias.name}"
+                if node.module in (None, "shellball"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
 
 
 def test_no_private_imports_between_modules():
-    # a private name has one home: a second module that needs it shows the
-    # name should move or become public
+    # a private name has one home: a second module that needs it, imported
+    # by name or read through the module, shows the name should move or
+    # become public
     found = []
     for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
