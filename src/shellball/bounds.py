@@ -61,16 +61,18 @@ def betti_bounds(table: BettiTable) -> tuple[Fraction, Fraction]:
 
 
 def linear_ball_boundary_h(n: int, d: int, m: int) -> tuple[int, ...]:
-    """Boundary h-vector forced by a linear resolution: binomial ramp, flat middle."""
-    out = []
-    for i in range(d):
-        if i <= m - 2:
-            out.append(comb(n - d + i, i))
-        elif i <= d - m:
-            out.append(comb(n - d + m - 1, m - 1))
-        else:
-            out.append(comb(n - d + (d - 1 - i), d - 1 - i))
-    return tuple(out)
+    """Boundary h-vector of a ball on n vertices with facets of size d whose
+    ideal has an m-linear resolution; for 1 <= m <= (d+1)//2.
+
+    A Cohen-Macaulay quotient of codimension c = n - d with an m-linear
+    resolution has h-vector (1, c, C(c+1, 2), ..., C(c+m-2, m-1), 0, ...),
+    and the boundary's h is its partial-sum transform (`boundary_h_from_h`):
+    a binomial ramp up to C(c+m-1, m-1), a flat middle and the mirror ramp.
+    Past (d+1)//2 the two ramps overlap and the middle dips, as in
+    (1, 4, 0, 4, 1) for (n, d, m) = (8, 5, 4).
+    """
+    h = [1] + [comb(n - d + i - 1, i) for i in range(1, m)]
+    return cxmod.boundary_h_from_h(h + [0] * (d + 1 - m))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ initial ideal of the maximal minors of an m x n matrix X, those covers are
 exactly the maximal-minor diagonals of an (n-m+1) x n matrix Y glued to X
 along shifted diagonals: `dual_matrix(m, n)` maps each entry of Y to the
 entry of X it is identified with, or to None when it is a free variable.
-Verifying the identity reduces to two finite inclusions over the
-identified variables, checked here by explicit enumeration of diagonals on
-one side and of minimal covers on the other.
+Verifying the identity is one set equality: the diagonals, rewritten
+through the identification, are the minimal covers.  That is the same as
+asking that every diagonal be a cover and every minimal cover a diagonal.
+Given both, a diagonal holds some minimal cover, which is itself a
+diagonal; all diagonals have n-m+1 points, so the two are equal.
 """
 
 from __future__ import annotations
@@ -67,48 +69,35 @@ class DualTheoremVerdict:
 
 
 def verify_dual_theorem(m: int, n: int) -> DualTheoremVerdict:
-    """Check that dual-matrix diagonals and minimal vertex covers coincide.
+    """Check that the rewritten dual-matrix diagonals are the minimal vertex covers.
 
     The generators of the initial maximal-minor ideal of X are the
-    Stanley-Reisner generators of the [1..m-1 | 1..m-1] complex.  (a) every
-    maximal-minor diagonal of Y, rewritten through the identification (all
-    its entries must be identified, which the strictly increasing column
-    condition forces), covers every generator; (b) every minimal vertex
-    cover of the generators is such a rewritten diagonal.
+    Stanley-Reisner generators of the [1..m-1 | 1..m-1] complex.  A
+    maximal-minor diagonal of Y has columns c_1 < ... < c_{n-m+1}, so
+    k <= c_k <= k+m-1 and every entry Y[k, c_k] is identified with
+    X[c_k-k+1, c_k]: the rewritten diagonal is a set of n-m+1 points, one
+    per column.  `failures` lists the minimal covers that are no diagonal,
+    then the diagonals that are no minimal cover.
     """
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
     ymat = dual_matrix(m, n)
     spec = MinorSpec.diagonal(m, n, m - 1)
-    failures: list[str] = []
     generators = [mask_of(map(spec.vertex_index, d)) for d in sr_generators(spec)]
-
-    diag_masks: set[int] = set()
-    for cols in combinations(range(1, n + 1), n - m + 1):
-        support = []
-        for k, c in enumerate(cols, start=1):
-            if ymat[k, c] is None:
-                failures.append(f"diagonal entry Y[{k},{c}] is not identified with X")
-                continue
-            support.append(spec.vertex_index(ymat[k, c]))
-        mask = mask_of(support)
-        diag_masks.add(mask)
-        uncovered = [g for g in generators if g & mask == 0]
-        if uncovered:
-            failures.append(
-                f"diagonal {cols} misses generator {vertices_of(uncovered[0])}"
-            )
-
+    diagonals = {
+        mask_of(spec.vertex_index(ymat[k, c]) for k, c in enumerate(cols, 1))
+        for cols in combinations(range(1, n + 1), n - m + 1)
+    }
     covers = minimal_vertex_covers(generators)
-    for c in covers:
-        if c not in diag_masks:
-            failures.append(f"minimal cover {vertices_of(c)} is not a dual diagonal")
-
+    missing = [c for c in covers if c not in diagonals]
+    extra = sorted(diagonals.difference(covers))
+    failures = [f"minimal cover {vertices_of(c)} is not a dual diagonal" for c in missing]
+    failures += [f"dual diagonal {vertices_of(g)} is not a minimal cover" for g in extra]
     return DualTheoremVerdict(
         m=m,
         n=n,
         passed=not failures,
-        diagonal_count=len(diag_masks),
+        diagonal_count=len(diagonals),
         cover_count=len(covers),
         failures=failures,
     )

@@ -76,12 +76,6 @@ def check_field(char: int) -> int:
     return char
 
 
-def _rank(columns: list, char: int) -> int:
-    if char == 2:
-        return rank_gf2_columns(columns)
-    return rank_int_columns(columns, char)
-
-
 def _column(face: int, row: dict[int, int], char: int):
     """Boundary column of `face`: over GF(2) a bit mask of rows, otherwise
     {row: +-1} with the sign alternating in increasing vertex order.  A
@@ -181,7 +175,7 @@ class _FaceBits:
                         col = {r: x for r, x in col.items() if keep >> r & 1}
                     if col:
                         group.append(col)
-                rank[s] = _rank(group, char)
+                rank[s] = rank_gf2_columns(group) if char == 2 else rank_int_columns(group, char)
             keep = ~((star & span) >> start)
         return {k: f[k] - rank[k] - rank[k + 1] for k in range(top)}
 

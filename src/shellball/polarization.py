@@ -5,8 +5,10 @@ an n x t grid of squarefree variables.  The monomials of total degree at
 most t-1 (the standard monomials of the t-th power) biject with the facets
 of a simplicial complex on the grid: exponent vector ``a`` maps to the set
 of grid cells (i, j) with j != a[i]+1.  Ordering the facets by total degree
-then lexicographically shells the complex as a ball, and its minimal
-nonfaces are exactly the polarized degree-t generators.
+then lexicographically shells the complex, and its minimal nonfaces are
+exactly the polarized degree-t generators.  For n >= 2 the complex is a
+ball.  For n = 1 it is the boundary sphere of a (t-1)-simplex: its t
+facets are the simplex's ridges, so the last step glues every ridge.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
 """Reference functions that only the tests call.
 
 Each one restates a result of the paper in its most direct form: the flip
-move on one path, a facet's points, family flips against corner-maximality,
-the corner-maximal generators of the minimal inside faces, the prefix
-boundary test, reduced homology of a whole complex, face membership by
-lookup in the face lattice, the unions of minimal nonfaces by a union
-closure, minimal vertex covers by branch and bound, inclusion-minimal and
--maximal masks pair by pair, the h-vector of a minor counted by corners, the
-unused vertices of a complex, a facet's row profile read off its points,
-and the facet walk that follows every dead end.  No pipeline stage, CLI command or
-demo calls them; the library computes the same objects from shelling
-certificates, Hochster walks, Berge's transversal step, a per-vertex
-containment index and a walk that keeps room for the later paths, and the
-tests compare the two.  Keeping them here keeps
-`shellball` to the pipeline and the paper's objects, and keeps each oracle
-apart from the code it checks.
+sites and the flip move on one path, a facet's points, family flips against
+corner-maximality, the corner-maximal generators of the minimal inside
+faces, the prefix boundary test, reduced homology of a whole complex, face
+membership by lookup in the face lattice, the unions of minimal nonfaces by
+a union closure, minimal vertex covers by branch and bound,
+inclusion-minimal and -maximal masks pair by pair in the canonical order,
+the h-vector of a minor counted by corners, the unused vertices of a
+complex, a facet's row profile read off its points, and the facet walk that
+follows every dead end.  No pipeline stage, CLI command or demo calls them;
+the library computes the same objects from shelling certificates, Hochster
+walks, Berge's transversal step, a per-vertex containment index and a walk
+that keeps room for the later paths, and the tests compare the two.
+Keeping them here keeps `shellball` to the pipeline and the paper's
+objects, and keeps each oracle apart from the code it checks.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from itertools import product
 
 from shellball.complexes import (
     SimplicialComplex,
-    _canonical_key,
     iter_bits,
     minimal_nonface_masks,
     vertices_of,
 )
-from shellball.homology import _rank, check_field
+from shellball.exactrank import rank_gf2_columns, rank_int_columns
+from shellball.homology import check_field
 from shellball.paths import (
     MinorSpec,
     PathFamily,
     Point,
-    _flip_sites,
     is_corner_maximal,
     path_corners,
 )
@@ -48,11 +47,18 @@ def is_face(cx: SimplicialComplex, mask: int) -> bool:
 # flips and corner-maximal facets
 
 
+def flip_sites(path: tuple[Point, ...]) -> list[Point]:
+    """The points v of a path whose v+(1,0) and v+(0,1) lie on it too, neither
+    of them a corner."""
+    free = set(path) - path_corners(path)
+    return [(x, y) for x, y in path if {(x + 1, y), (x, y + 1)} <= free]
+
+
 def flip(path: tuple[Point, ...], v: Point) -> tuple[Point, ...]:
     """Replace v by v+(1,1) at the same index; legal at a flip site (v, v+(1,0),
     v+(0,1) lie on the path and neither neighbour is a corner).  The corner set
     grows by exactly v+(1,1)."""
-    if v not in _flip_sites(path):
+    if v not in flip_sites(path):
         raise ValueError(f"not flippable at {v}")
     k = path.index(v)
     out = path[:k] + ((v[0] + 1, v[1] + 1),) + path[k + 1 :]
@@ -71,7 +77,7 @@ def admits_family_flip(family: PathFamily) -> bool:
     never on its own path, which runs v+(0,1), v, v+(1,0))."""
     points = points_of(family)
     return any(
-        (x + 1, y + 1) not in points for path in family.paths for (x, y) in _flip_sites(path)
+        (x + 1, y + 1) not in points for path in family.paths for (x, y) in flip_sites(path)
     )
 
 
@@ -139,7 +145,10 @@ def reduced_homology_ranks(cx: SimplicialComplex, field: int = 0) -> dict[int, i
             group.append(sum(1 << r for r in rows))
         else:
             group.append({r: (-1) ** i for i, r in enumerate(rows)})
-    rank = {s: _rank(group, char) for s, group in groups.items()}
+    rank = {
+        s: rank_gf2_columns(group) if char == 2 else rank_int_columns(group, char)
+        for s, group in groups.items()
+    }
     return {
         k: len(groups.get(k + 1, ())) - rank.get(k + 1, 0) - rank.get(k + 2, 0)
         for k in range(-1, max(groups, default=0))
@@ -187,10 +196,15 @@ def branch_and_bound_covers(supports: list[int]) -> list[int]:
 # inclusion-extreme masks, pair by pair
 
 
+def canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Size, then vertex tuples in lex order."""
+    return mask.bit_count(), vertices_of(mask)
+
+
 def pairwise_minimal_masks(masks) -> list[int]:
     """Inclusion-minimal members of a family of masks, in canonical order."""
     out: list[int] = []
-    for m in sorted(set(masks), key=_canonical_key):
+    for m in sorted(set(masks), key=canonical_key):
         if not any(g & ~m == 0 for g in out):
             out.append(m)
     return out
@@ -198,7 +212,7 @@ def pairwise_minimal_masks(masks) -> list[int]:
 
 def pairwise_maximal_masks(masks) -> list[int]:
     """Inclusion-maximal members of a family of masks, in canonical order."""
-    masks = sorted(set(masks), key=_canonical_key)
+    masks = sorted(set(masks), key=canonical_key)
     by_size: dict[int, list[int]] = {}
     for m in masks:
         by_size.setdefault(m.bit_count(), []).append(m)

@@ -110,6 +110,19 @@ def old_cyclic_h(n, d):
     return tuple(comb(n - d + min(i, d - 1 - i), min(i, d - 1 - i)) for i in range(d))
 
 
+def old_linear_ball_boundary_h(n, d, m):
+    # the binomial ramp up, the flat middle and the ramp down
+    out = []
+    for i in range(d):
+        if i <= m - 2:
+            out.append(comb(n - d + i, i))
+        elif i <= d - m:
+            out.append(comb(n - d + m - 1, m - 1))
+        else:
+            out.append(comb(n - d + (d - 1 - i), d - 1 - i))
+    return tuple(out)
+
+
 def old_multiplicity_estimate(n, d, m):
     return 2 * sum(comb(n - d + i, i) for i in range(m)) + (d - 2 * m) * comb(n - d + m - 1, m - 1)
 
@@ -128,6 +141,15 @@ def test_cyclic_comparators_match_old_forms():
     for n, d in ORACLE_ND:
         assert cyclic_h(n, d) == old_cyclic_h(n, d), (n, d)
         assert cyclic_max_shifts(n, d) == old_cyclic_max_shifts(n, d), (n, d)
+
+
+def test_linear_ball_boundary_h_matches_old_ramp():
+    # plus the n = d rows (codimension 0) and the m = 1 rows (a single
+    # generator degree 1 is no generator at all: the ball is a simplex)
+    rows = ORACLE_NDM + [(d, d, m) for d in range(1, 13) for m in range(1, (d + 1) // 2 + 1)]
+    rows += [(n, d, 1) for n, d in ORACLE_ND]
+    for n, d, m in rows:
+        assert linear_ball_boundary_h(n, d, m) == old_linear_ball_boundary_h(n, d, m), (n, d, m)
 
 
 def test_forced_h_profile_sum():

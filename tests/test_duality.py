@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from shellball import duality
+from shellball.cli import main
 from shellball.complexes import (
     SimplicialComplex,
     boundary_complex,
@@ -200,6 +202,17 @@ def test_dual_theorem(m, n):
     verdict = verify_dual_theorem(m, n)
     assert verdict.passed, verdict.failures
     assert verdict.diagonal_count == comb(n, n - m + 1) == verdict.cover_count
+
+
+def test_dual_theorem_failure_path(monkeypatch, capsys):
+    # without the main diagonal (1,1),(2,2),(3,3), every generator holds
+    # X[3,4], vertex 11: that one point is a minimal cover and no diagonal
+    monkeypatch.setattr(duality, "sr_generators", lambda spec: sr_generators(spec)[1:])
+    verdict = verify_dual_theorem(3, 4)
+    assert not verdict.passed
+    assert verdict.failures[0] == "minimal cover (11,) is not a dual diagonal"
+    assert main(["dual", "m=3", "n=4"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
 
 
 def test_dual_theorem_through_n_9():

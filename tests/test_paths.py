@@ -45,6 +45,7 @@ from tests.oracles import (
     canonical_generators,
     corner_h,
     flip,
+    flip_sites,
     is_face,
     points_of,
     profile_of,
@@ -283,6 +284,12 @@ def test_flip_grows_corners_everywhere():
 def test_non_flippable_minor23():
     fams = enumerate_facets(MinorSpec.diagonal(2, 3, 1))
     assert [is_non_flippable(f) for f in fams] == [False, True, True]
+
+
+def test_non_flippable_matches_oracle_flip_sites():
+    for m, n, r in SMALL_SPECS:
+        for fam in enumerate_facets(MinorSpec.diagonal(m, n, r)):
+            assert is_non_flippable(fam) == (not any(flip_sites(p) for p in fam.paths))
 
 
 def test_corner_maximality_vs_pathwise():

@@ -96,6 +96,20 @@ def test_power_complex_certified(n, t):
     assert [tuple(nf) for nf in minimal_nonfaces(cx)] == gens
 
 
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_one_row_grid_is_the_boundary_of_a_simplex(t):
+    # n = 1: the facets are the t ridges of the (t-1)-simplex on the row, so
+    # the order shells a sphere, and the ball check fails at the last step
+    cx, order = power_ideal_complex(1, t)
+    full = (1 << t) - 1
+    assert sorted(cx.facets) == sorted(full ^ (1 << v) for v in range(t))
+    assert verify_shelling(cx, order).ok
+    ball = verify_ball(cx, order)
+    assert not ball.ok
+    assert ball.failed_step == t - 1
+    assert ball.reason == "all ridges glued: closes to a sphere or worse"
+
+
 @pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_gluing_steps_follow_neighbour_structure(n, t):
     # each glued ridge at step k drops a cell (i,j) with j <= a_k(i); its

@@ -186,9 +186,11 @@ def _private_imports(tree):
 def test_no_private_imports_between_modules():
     # a private name has one home: a second module that needs it, imported
     # by name or read through the module, shows the name should move or
-    # become public
+    # become public.  The oracles count as a module too: one that borrows a
+    # private helper of the code it checks is no independent oracle.
     found = []
-    for path in sorted(Path(shellball.__file__).parent.glob("*.py")):
+    oracles = Path(__file__).with_name("oracles.py")
+    for path in [*sorted(Path(shellball.__file__).parent.glob("*.py")), oracles]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _private_imports(tree)]
     assert not found, f"private names imported from another module: {found}"
